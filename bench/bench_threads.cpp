@@ -1,11 +1,12 @@
-// Serial vs work-stealing-pool wall-clock for the alignment and coarsening
-// hot paths, recorded as a BENCH json.
+// Serial vs work-stealing-pool wall-clock for the alignment, coarsening and
+// hybrid-selection hot paths, recorded as a BENCH json.
 //
 //   $ ./bench_threads [output.json]
 //
 // Measures find_overlaps_serial() against find_overlaps() at 1/2/4/8 pool
-// threads, and serial vs pooled heavy-edge-matching coarsening, on the D1
-// simulated benchmark dataset (FOCUS_BENCH_SCALE / FOCUS_BENCH_COVERAGE
+// threads, serial vs pooled heavy-edge-matching coarsening, and
+// build_hybrid (level-by-level representative selection) at 1/2/4/8 threads
+// against its width-1 run, on the D1 simulated benchmark dataset (FOCUS_BENCH_SCALE / FOCUS_BENCH_COVERAGE
 // apply). Every pooled run is checked byte-identical against the serial
 // reference before its timing is reported, so the json never records a
 // speedup bought with a wrong answer. Default output: bench_threads.json.
@@ -18,6 +19,7 @@
 #include "bench_common.hpp"
 #include "common/thread_pool.hpp"
 #include "graph/coarsen.hpp"
+#include "graph/hybrid.hpp"
 
 namespace {
 
@@ -43,6 +45,57 @@ bool same_overlaps(const std::vector<align::Overlap>& a,
         a[i].length != b[i].length || a[i].identity != b[i].identity ||
         a[i].kind != b[i].kind) {
       return false;
+    }
+  }
+  return true;
+}
+
+bool same_graph(const graph::Graph& a, const graph::Graph& b) {
+  if (a.node_count() != b.node_count() || a.edge_count() != b.edge_count()) {
+    return false;
+  }
+  for (NodeId v = 0; v < a.node_count(); ++v) {
+    if (a.node_weight(v) != b.node_weight(v) || a.degree(v) != b.degree(v)) {
+      return false;
+    }
+    for (std::size_t i = 0; i < a.degree(v); ++i) {
+      if (a.neighbors(v)[i].to != b.neighbors(v)[i].to ||
+          a.neighbors(v)[i].weight != b.neighbors(v)[i].weight) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+bool same_hybrid(const graph::HybridGraphSet& a,
+                 const graph::HybridGraphSet& b) {
+  if (a.hierarchy.depth() != b.hierarchy.depth() ||
+      a.hierarchy.parent != b.hierarchy.parent ||
+      a.cluster_reads != b.cluster_reads ||
+      a.reps_per_level != b.reps_per_level ||
+      a.selection_work != b.selection_work ||
+      a.origin.size() != b.origin.size() ||
+      a.layouts.size() != b.layouts.size()) {
+    return false;
+  }
+  for (std::size_t l = 0; l < a.hierarchy.depth(); ++l) {
+    if (!same_graph(a.hierarchy.levels[l], b.hierarchy.levels[l])) return false;
+    if (a.origin[l].size() != b.origin[l].size()) return false;
+    for (std::size_t h = 0; h < a.origin[l].size(); ++h) {
+      if (a.origin[l][h].ml_level != b.origin[l][h].ml_level ||
+          a.origin[l][h].ml_node != b.origin[l][h].ml_node) {
+        return false;
+      }
+    }
+  }
+  for (std::size_t h = 0; h < a.layouts.size(); ++h) {
+    if (a.layouts[h].size() != b.layouts[h].size()) return false;
+    for (std::size_t i = 0; i < a.layouts[h].size(); ++i) {
+      if (a.layouts[h][i].read != b.layouts[h][i].read ||
+          a.layouts[h][i].overlap_to_next != b.layouts[h][i].overlap_to_next) {
+        return false;
+      }
     }
   }
   return true;
@@ -90,7 +143,8 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "bench_threads.json";
 
   bench::print_header(
-      "bench_threads — serial vs work-stealing pool (alignment & coarsening)");
+      "bench_threads — serial vs work-stealing pool (alignment, coarsening "
+      "& hybrid selection)");
   std::printf("hardware threads: %u   FOCUS_THREADS default: %u\n",
               std::thread::hardware_concurrency(), default_thread_count());
 
@@ -148,6 +202,34 @@ int main(int argc, char** argv) {
   }
   print_series("coarsening stage (build_multilevel, §II-C)", coarsen);
 
+  // --- Hybrid graph set ----------------------------------------------------
+  // The "serial" column is build_hybrid at width 1; every width must
+  // reproduce its hybrid set and selection work exactly.
+  Series hybrid;
+  const graph::Digraph read_graph =
+      graph::build_read_digraph(reads.size(), reference);
+  std::vector<std::uint32_t> lengths;
+  lengths.reserve(reads.size());
+  for (const auto& r : reads) {
+    lengths.push_back(static_cast<std::uint32_t>(r.seq.size()));
+  }
+  graph::HybridGraphSet ref_hybrid;
+  hybrid.serial_seconds = best_of(kRepeats, [&] {
+    Timer t;
+    ref_hybrid = graph::build_hybrid(ref_hierarchy, read_graph, lengths, 1);
+    return t.seconds();
+  });
+  for (const unsigned width : kWidths) {
+    graph::HybridGraphSet pooled;
+    hybrid.pool_seconds.push_back(best_of(kRepeats, [&] {
+      Timer t;
+      pooled = graph::build_hybrid(ref_hierarchy, read_graph, lengths, width);
+      return t.seconds();
+    }));
+    hybrid.identical = hybrid.identical && same_hybrid(pooled, ref_hybrid);
+  }
+  print_series("hybrid graph set (build_hybrid, §II-D)", hybrid);
+
   // --- BENCH json ----------------------------------------------------------
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -162,10 +244,11 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
   json_series(f, "overlap", overlap, /*trailing_comma=*/true);
-  json_series(f, "coarsen", coarsen, /*trailing_comma=*/false);
+  json_series(f, "coarsen", coarsen, /*trailing_comma=*/true);
+  json_series(f, "hybrid", hybrid, /*trailing_comma=*/false);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path.c_str());
 
-  return (overlap.identical && coarsen.identical) ? 0 : 1;
+  return (overlap.identical && coarsen.identical && hybrid.identical) ? 0 : 1;
 }

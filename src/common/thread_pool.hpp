@@ -4,7 +4,8 @@
 // the mpr runtime simulates *cluster* ranks in deterministic virtual time,
 // while this pool provides real *host* parallelism for the compute-bound
 // loops (subset-pair overlap detection, per-query seed-and-verify,
-// heavy-edge-matching candidate scoring).
+// heavy-edge-matching candidate scoring, the per-level contiguity tests of
+// hybrid representative selection).
 //
 // Design:
 //  * One task deque per participant (the calling thread occupies slot 0,

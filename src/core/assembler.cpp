@@ -175,7 +175,8 @@ AssemblyResult FocusAssembler::assemble(const io::ReadSet& raw_reads,
       lengths.push_back(static_cast<std::uint32_t>(r.seq.size()));
     }
     result.hybrid =
-        graph::build_hybrid(result.multilevel, read_graph, std::move(lengths));
+        graph::build_hybrid(result.multilevel, read_graph, std::move(lengths),
+                            config_.partitioner.threads);
     StageTiming t;
     t.wall = wall.seconds();
     t.vtime = config_.cost.compute_cost(result.hybrid.selection_work);

@@ -2,9 +2,9 @@
 //
 // Starting from the most reduced multilevel graph, each node's read cluster
 // is tested for contiguity. Contiguous clusters become *best representative*
-// nodes; non-contiguous nodes are expanded into their children and the test
-// recurses. Level-0 nodes (single reads) are trivially contiguous, so every
-// read ends up covered by exactly one representative.
+// nodes; non-contiguous nodes are expanded into their children, which form
+// the next finer level's frontier. Level-0 nodes (single reads) are trivially
+// contiguous, so every read ends up covered by exactly one representative.
 //
 // The hybrid graph set G' = {G'0 … G'n} mirrors the multilevel set with each
 // representative frozen as a single node from its selection level downward:
@@ -52,9 +52,12 @@ struct HybridGraphSet {
 };
 
 /// Builds the hybrid graph set from the multilevel set and the directed read
-/// graph (used by the contiguity test).
+/// graph (used by the contiguity test). The contiguity tests of each level's
+/// frontier run on a pool `threads` wide (0 = auto, as for
+/// OverlapperConfig::threads); the result is identical at every width.
 HybridGraphSet build_hybrid(const GraphHierarchy& multilevel,
                             const Digraph& read_graph,
-                            std::vector<std::uint32_t> read_lengths);
+                            std::vector<std::uint32_t> read_lengths,
+                            unsigned threads = 0);
 
 }  // namespace focus::graph

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "common/rng.hpp"
 #include "graph/coarsen.hpp"
 #include "graph/contiguity.hpp"
 #include "graph/hybrid.hpp"
+#include "hybrid_inputs.hpp"
 
 namespace focus::graph {
 namespace {
@@ -139,6 +141,96 @@ TEST(Contiguity, TwoParallelChainsNotContiguous) {
   g.finalize();
   ContiguityTester tester(g, uniform_lengths(4));
   EXPECT_FALSE(tester.contiguous(std::vector<NodeId>{0, 1, 2, 3}));
+}
+
+// A read digraph shaped like a layout: a chain with transitive shortcuts,
+// plus occasional stray edges (forks, back edges, self-loops) and contained
+// reads, so clusters of consecutive reads are often but not always
+// contiguous.
+Digraph random_read_graph(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  Digraph g(n);
+  for (NodeId v = 0; v < n; ++v) {
+    if (v + 1 < n) g.add_edge(v, v + 1, 60);
+    if (v + 2 < n && rng.next_bool(0.5)) g.add_edge(v, v + 2, 40);
+    if (rng.next_bool(0.04)) {
+      g.add_edge(v, static_cast<NodeId>(rng.next_below(n)), 30);
+    }
+    if (rng.next_bool(0.05)) g.mark_contained(v);
+  }
+  g.finalize();
+  return g;
+}
+
+// Clusters over n reads: windows of consecutive reads (mostly contiguous)
+// and scattered subsets (mostly not).
+std::vector<std::vector<NodeId>> random_clusters(std::uint64_t seed,
+                                                 std::size_t n,
+                                                 std::size_t count) {
+  Rng rng(seed);
+  std::vector<std::vector<NodeId>> clusters(count);
+  for (auto& c : clusters) {
+    const auto len = static_cast<NodeId>(1 + rng.next_below(24));
+    if (rng.next_bool(0.7)) {
+      const auto first = static_cast<NodeId>(rng.next_below(n - len + 1));
+      for (NodeId v = first; v < first + len; ++v) c.push_back(v);
+    } else {
+      auto perm = rng.permutation(static_cast<std::uint32_t>(n));
+      c.assign(perm.begin(), perm.begin() + len);
+    }
+  }
+  return clusters;
+}
+
+TEST(Contiguity, ScratchReusedAcrossGraphsMatchesFreshTester) {
+  // One scratch serves testers over two different graphs, alternating
+  // queries between them (the smaller graph first, so the scratch also
+  // grows mid-stream). Every answer, layout and work count must equal a
+  // fresh tester's: a stamp or local index left by an earlier query on
+  // either graph must never leak into a later one.
+  const std::size_t sizes[2] = {90, 260};
+  const Digraph graphs[2] = {random_read_graph(11, sizes[0]),
+                             random_read_graph(12, sizes[1])};
+  std::vector<std::uint32_t> lengths[2];
+  for (int i = 0; i < 2; ++i) {
+    Rng rng(100 + i);
+    for (std::size_t v = 0; v < sizes[i]; ++v) {
+      lengths[i].push_back(static_cast<std::uint32_t>(rng.next_in(80, 120)));
+    }
+  }
+  const ContiguityTester testers[2] = {
+      ContiguityTester(graphs[0], lengths[0]),
+      ContiguityTester(graphs[1], lengths[1])};
+  const auto clusters0 = random_clusters(21, sizes[0], 300);
+  const auto clusters1 = random_clusters(22, sizes[1], 300);
+
+  ContiguityScratch shared;
+  std::size_t contiguous_count = 0;
+  for (std::size_t q = 0; q < 600; ++q) {
+    const int which = static_cast<int>(q % 2);
+    const auto& cluster = which == 0 ? clusters0[q / 2] : clusters1[q / 2];
+    SCOPED_TRACE("query " + std::to_string(q));
+
+    std::vector<LayoutStep> reused_layout;
+    const bool reused =
+        testers[which].contiguous(cluster, shared, &reused_layout);
+    const double reused_work = shared.take_work();
+
+    ContiguityTester fresh(graphs[which], lengths[which]);
+    std::vector<LayoutStep> fresh_layout;
+    ASSERT_EQ(reused, fresh.contiguous(cluster, &fresh_layout));
+    EXPECT_EQ(reused_work, fresh.work());
+    ASSERT_EQ(reused_layout.size(), fresh_layout.size());
+    for (std::size_t i = 0; i < fresh_layout.size(); ++i) {
+      EXPECT_EQ(reused_layout[i].read, fresh_layout[i].read);
+      EXPECT_EQ(reused_layout[i].overlap_to_next,
+                fresh_layout[i].overlap_to_next);
+    }
+    contiguous_count += reused ? 1 : 0;
+  }
+  // Both answers occur, so the comparison covers layouts and rejections.
+  EXPECT_GT(contiguous_count, 100u);
+  EXPECT_LT(contiguous_count, 500u);
 }
 
 // ---------------------------------------------------------------------------
@@ -319,6 +411,21 @@ TEST(Hybrid, SingleLevelHierarchy) {
   for (const auto& layout : hybrid.layouts) {
     EXPECT_EQ(layout.size(), 1u);
   }
+}
+
+TEST(Hybrid, GoldenD1DigestAndSelectionWork) {
+  // Pinned from the unordered_map contiguity tester with depth-first
+  // selection that preceded the flat tester: the rewrite must select the
+  // same representatives, build the same hybrid set and charge the same work.
+  const auto in = test::make_hybrid_inputs(1, /*scale=*/0.15,
+                                              /*coverage=*/6.0);
+  const auto hybrid =
+      build_hybrid(in.multilevel, in.read_graph, in.read_lengths);
+  ASSERT_EQ(hybrid.hierarchy.depth(), 11u);
+  EXPECT_EQ(hybrid.hybrid_graph().node_count(), 164u);
+  EXPECT_EQ(test::digest_of(hybrid).hex(),
+            "3bdf523eaa447bdcc9a5beec6fd3822f");
+  EXPECT_EQ(hybrid.selection_work, 729473.0);
 }
 
 }  // namespace

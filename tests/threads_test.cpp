@@ -1,7 +1,7 @@
 // Tests for the shared-memory work-stealing pool and for the determinism
 // contract of everything built on it: pooled overlap detection, parallel
-// heavy-edge-matching scoring, and the full pipeline must produce
-// byte-identical results at every thread count.
+// heavy-edge-matching scoring, hybrid representative selection, and the
+// full pipeline must produce byte-identical results at every thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +20,8 @@
 #include "core/assembler.hpp"
 #include "graph/coarsen.hpp"
 #include "graph/graph.hpp"
+#include "graph/hybrid.hpp"
+#include "hybrid_inputs.hpp"
 #include "io/preprocess.hpp"
 #include "partition/partition.hpp"
 #include "sim/community.hpp"
@@ -292,6 +294,67 @@ TEST(CoarsenDeterminism, MultilevelHierarchyIdenticalAcrossThreadCounts) {
                 reference.levels[l].edge_count());
       EXPECT_EQ(pooled.levels[l].total_edge_weight(),
                 reference.levels[l].total_edge_weight());
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hybrid graph set: level-by-level selection on the pool
+// ---------------------------------------------------------------------------
+
+TEST(HybridWidths, HybridSetIdenticalAcrossWidths) {
+  // Each level's contiguity tests run as one pool pass and merge in frontier
+  // order, so every field of the hybrid set — and the work units, compared
+  // exactly — must match width 1 at every width.
+  for (const int ds : {1, 2, 3}) {
+    const auto in = test::make_hybrid_inputs(ds, /*scale=*/0.15,
+                                                /*coverage=*/6.0);
+    const auto reference =
+        graph::build_hybrid(in.multilevel, in.read_graph, in.read_lengths, 1);
+    ASSERT_GT(reference.hierarchy.depth(), 2u);
+    for (const unsigned threads : {2u, 4u, 8u}) {
+      SCOPED_TRACE("D" + std::to_string(ds) +
+                   " threads=" + std::to_string(threads));
+      const auto pooled = graph::build_hybrid(in.multilevel, in.read_graph,
+                                              in.read_lengths, threads);
+      ASSERT_EQ(pooled.hierarchy.depth(), reference.hierarchy.depth());
+      for (std::size_t l = 0; l < reference.hierarchy.depth(); ++l) {
+        const graph::Graph& a = pooled.hierarchy.levels[l];
+        const graph::Graph& b = reference.hierarchy.levels[l];
+        ASSERT_EQ(a.node_count(), b.node_count());
+        EXPECT_EQ(a.edge_count(), b.edge_count());
+        for (NodeId v = 0; v < b.node_count(); ++v) {
+          EXPECT_EQ(a.node_weight(v), b.node_weight(v));
+          ASSERT_EQ(a.degree(v), b.degree(v));
+          for (std::size_t i = 0; i < b.degree(v); ++i) {
+            EXPECT_EQ(a.neighbors(v)[i].to, b.neighbors(v)[i].to);
+            EXPECT_EQ(a.neighbors(v)[i].weight, b.neighbors(v)[i].weight);
+          }
+        }
+      }
+      EXPECT_EQ(pooled.hierarchy.parent, reference.hierarchy.parent);
+      ASSERT_EQ(pooled.origin.size(), reference.origin.size());
+      for (std::size_t l = 0; l < reference.origin.size(); ++l) {
+        ASSERT_EQ(pooled.origin[l].size(), reference.origin[l].size());
+        for (std::size_t h = 0; h < reference.origin[l].size(); ++h) {
+          EXPECT_EQ(pooled.origin[l][h].ml_level,
+                    reference.origin[l][h].ml_level);
+          EXPECT_EQ(pooled.origin[l][h].ml_node,
+                    reference.origin[l][h].ml_node);
+        }
+      }
+      EXPECT_EQ(pooled.cluster_reads, reference.cluster_reads);
+      ASSERT_EQ(pooled.layouts.size(), reference.layouts.size());
+      for (std::size_t h = 0; h < reference.layouts.size(); ++h) {
+        ASSERT_EQ(pooled.layouts[h].size(), reference.layouts[h].size());
+        for (std::size_t i = 0; i < reference.layouts[h].size(); ++i) {
+          EXPECT_EQ(pooled.layouts[h][i].read, reference.layouts[h][i].read);
+          EXPECT_EQ(pooled.layouts[h][i].overlap_to_next,
+                    reference.layouts[h][i].overlap_to_next);
+        }
+      }
+      EXPECT_EQ(pooled.reps_per_level, reference.reps_per_level);
+      EXPECT_EQ(pooled.selection_work, reference.selection_work);
     }
   }
 }

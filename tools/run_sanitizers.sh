@@ -29,8 +29,11 @@
 # simultaneous in-process pipelines vs the serial oracle across protocols ×
 # backends × pool widths — the TSan proof obligation for the EnvSnapshot
 # sweep and the per-pool TLS slot fix), and bench_jobs's multi-tenant
-# scheduler smoke (label `perf-smoke`) are exercised under both memory/UB
-# and data-race checking.
+# scheduler smoke (label `perf-smoke`), and the hybrid-selection suites
+# (hybrid_test's Contiguity scratch-reuse case across two read graphs and
+# threads_test's HybridWidths sweep, label `perf-smoke`: level-by-level
+# contiguity tests on the pool with per-chunk scratch checkout, identical at
+# widths 1/2/4/8) are exercised under both memory/UB and data-race checking.
 #
 # Review note: src/common/env.cpp must stay the only std::getenv call site
 # (grep 'std::getenv' src/); scattered env reads were the original
