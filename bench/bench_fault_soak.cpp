@@ -116,11 +116,13 @@ bool same_variants(const std::vector<dist::Variant>& a,
   return true;
 }
 
-/// Per-stage fault-recovery counters of one soak run.
+/// Per-stage fault-recovery counters of one soak run, plus the stage's
+/// virtual-time makespan (which recovery work lengthens).
 struct StageStats {
   std::uint64_t retries = 0;
   int ranks_failed = 0;
   double recovery_vtime = 0.0;
+  double makespan = 0.0;
 };
 
 struct RunRecord {
@@ -137,7 +139,7 @@ struct RunRecord {
 };
 
 StageStats stage_stats(const mpr::RunStats& run) {
-  return {run.retries, run.ranks_failed, run.recovery_vtime};
+  return {run.retries, run.ranks_failed, run.recovery_vtime, run.makespan};
 }
 
 /// Runs the full pipeline plus the variant/GFA drivers under `cfg` and
@@ -181,12 +183,14 @@ void write_report(const std::string& path, bool smoke,
   std::uint64_t unrecovered = 0, total_retries = 0;
   std::uint64_t total_ranks_failed = 0;
   double total_recovery_vtime = 0.0;
+  double total_makespan = 0.0;
   for (const auto& r : runs) {
     if (!r.ok) ++unrecovered;
     for (const auto& [stage, s] : r.stages) {
       total_retries += s.retries;
       total_ranks_failed += static_cast<std::uint64_t>(s.ranks_failed);
       total_recovery_vtime += s.recovery_vtime;
+      total_makespan += s.makespan;
     }
   }
 
@@ -219,10 +223,10 @@ void write_report(const std::string& path, bool smoke,
     for (const auto& [stage, s] : r.stages) {
       std::fprintf(f,
                    "%s\"%s\": {\"retries\": %llu, \"ranks_failed\": %d, "
-                   "\"recovery_vtime\": %.6g}",
+                   "\"recovery_vtime\": %.6g, \"makespan\": %.6g}",
                    first ? "" : ", ", stage.c_str(),
                    static_cast<unsigned long long>(s.retries), s.ranks_failed,
-                   s.recovery_vtime);
+                   s.recovery_vtime, s.makespan);
       first = false;
     }
     std::fprintf(f, "}}%s\n", i + 1 < runs.size() ? "," : "");
@@ -231,11 +235,11 @@ void write_report(const std::string& path, bool smoke,
   std::fprintf(f,
                "  \"summary\": {\"runs\": %zu, \"unrecovered\": %llu, "
                "\"total_retries\": %llu, \"total_ranks_failed\": %llu, "
-               "\"total_recovery_vtime\": %.6g}\n}\n",
+               "\"total_recovery_vtime\": %.6g, \"total_makespan\": %.6g}\n}\n",
                runs.size(), static_cast<unsigned long long>(unrecovered),
                static_cast<unsigned long long>(total_retries),
                static_cast<unsigned long long>(total_ranks_failed),
-               total_recovery_vtime);
+               total_recovery_vtime, total_makespan);
   std::fclose(f);
   std::fprintf(stderr, "[fault_soak] wrote %s (%zu runs, %llu unrecovered)\n",
                path.c_str(), runs.size(),

@@ -114,7 +114,7 @@ struct FaultPlan {
 
 /// Recovery knobs for the fault-tolerant distributed drivers.
 struct FaultConfig {
-  /// Bound on phase replays: after this many failed rounds of one phase the
+  /// Bound on recovery rounds: after this many failed rounds of one phase the
   /// master gives up and throws.
   int max_retries = 8;
   /// Virtual-time deadline charged per timed-out receive; also the base unit

@@ -3,9 +3,10 @@
 // simplify, traverse, variants, GFA emission — runs the same two protocols:
 //
 //  * master/worker (§7): rank 0 commands scans over replayable partitions,
-//    collects CRC-framed records, detects dead workers by quiescence timeout
-//    and replays the phase with orphaned partitions reassigned round-robin
-//    over the live ranks, bounded by FaultConfig::max_retries.
+//    collects CRC-framed records, and detects dead workers by quiescence
+//    timeout. A failed round keeps every record that did arrive; the next
+//    round re-scans only the missing partitions (orphans of dead ranks go
+//    round-robin over the live ranks), bounded by FaultConfig::max_retries.
 //  * symmetric (§7b): coordination is a *role* — whichever live rank
 //    currently coordinates runs the same collect loop but commits each
 //    completed phase to a write-ahead log modeling replicated stable
@@ -13,10 +14,14 @@
 //    over, fast-forwards through the log and resumes at the first
 //    uncommitted phase. No rank is irreplaceable.
 //
-// Commands and record frames flow over two user tags per protocol. Every
+// Both protocols share one collect loop (detail::ft_collect_rounds) and one
+// command handler (detail::ft_serve); they differ only in where the live set
+// and command sequence live, their tag pair, and the collecting rank. Every
 // scan command carries a monotone sequence number (workers discard
 // duplicated commands without re-scanning) and every record frame carries
 // its (phase, round) so stale frames from failed rounds are discarded.
+// Scans are pure in (phase, partition), so a record kept from a failed
+// round equals the one a re-scan would produce.
 //
 // Two extensions over the original in-driver machinery:
 //  * FtOrder — the canonical order collected records are returned in.
@@ -63,14 +68,19 @@ using FtPackState = std::function<void(std::uint32_t p, Message&)>;
 using FtUnpackState =
     std::function<void(std::uint32_t phase, std::uint32_t p, Message&)>;
 
-/// Partition assignment for one round: every partition goes to its original
-/// owner (id mod nranks) when that rank is live; partitions orphaned by dead
-/// ranks are redistributed round-robin over the live ranks (coordinator
-/// included), in ascending rank order — a pure function of the live set, so
-/// replays are deterministic. The coordinating rank is always in the live
+/// Partition assignment for one collect round: only partitions whose slot is
+/// still empty are assigned. Each goes to its original owner (id mod nranks)
+/// when that rank is live; partitions orphaned by dead ranks are
+/// redistributed round-robin over the live ranks (coordinator included), in
+/// ascending rank order — a pure function of the slots and the live set, so
+/// recoveries are deterministic. In round 0 every slot is empty and this is
+/// the fault-free assignment. The coordinating rank is always in the live
 /// set, so at least one rank is available.
-inline std::vector<std::vector<std::uint32_t>> ft_assign(
-    std::uint32_t nparts, const std::vector<std::uint8_t>& live, int size) {
+template <typename Rec>
+std::vector<std::vector<std::uint32_t>> ft_assign(
+    const std::vector<std::optional<Rec>>& slots,
+    const std::vector<std::uint8_t>& live, int size) {
+  const auto nparts = static_cast<std::uint32_t>(slots.size());
   std::vector<std::vector<std::uint32_t>> parts_for_rank(
       static_cast<std::size_t>(size));
   std::vector<int> live_ranks;
@@ -79,6 +89,7 @@ inline std::vector<std::vector<std::uint32_t>> ft_assign(
   }
   std::vector<std::uint32_t> orphans;
   for (std::uint32_t p = 0; p < nparts; ++p) {
+    if (slots[p].has_value()) continue;
     const int owner = static_cast<int>(p % static_cast<std::uint32_t>(size));
     if (live[static_cast<std::size_t>(owner)]) {
       parts_for_rank[static_cast<std::size_t>(owner)].push_back(p);
@@ -97,6 +108,11 @@ struct FtMasterState {
   std::vector<std::uint8_t> live;  // live[0] is the master itself
   std::uint64_t cmd_seq = 0;
 };
+
+/// Per-rank scan of one partition, appending its records to a frame.
+using FtScanAndPack =
+    std::function<void(std::uint32_t phase, std::uint32_t p, Message& frame,
+                       double* work)>;
 
 namespace detail {
 
@@ -125,58 +141,82 @@ std::vector<Rec> ft_emit(std::vector<std::optional<Rec>>& by_part, int size,
   return out;
 }
 
-}  // namespace detail
+/// Where a protocol keeps its failure detector's live set and its command
+/// sequence: coordinator-local (FtMasterState) or in the replicated log
+/// (SymWal), whose mutex then guards both.
+struct FtRoster {
+  std::vector<std::uint8_t>& live;
+  std::uint64_t& cmd_seq;
+  std::mutex* mu = nullptr;
 
-/// One worker-record / master-collect phase under the fault-tolerant
-/// protocol. Returns the per-partition records in the canonical order
-/// selected by `order` — so downstream applies see the exact record
-/// sequence of a fault-free run, regardless of which surviving rank
-/// actually scanned each partition. Replays the whole phase on a worker
-/// timeout (marking it dead) or a corrupt frame (worker stays live), up to
-/// FaultConfig::max_retries replays.
+  std::unique_lock<std::mutex> lock() const {
+    return mu ? std::unique_lock<std::mutex>(*mu)
+              : std::unique_lock<std::mutex>();
+  }
+};
+
+/// The collect loop of both protocols, run by the collecting rank. Each
+/// round commands scans of the still-missing partitions, scans its own share
+/// locally, and drains one record frame from every commanded rank — a
+/// timeout (rank marked dead) or corrupt frame fails the round but does not
+/// stop the drain, so every failure of a round is found in that round.
+/// Records received in a failed round are kept. Round 0 commands every live
+/// rank (the fault-free op sequence); a recovery round commands only the
+/// ranks assigned missing partitions.
 template <typename Rec>
-std::vector<Rec> ft_collect_phase(
-    Comm& comm, FtMasterState& st, std::uint32_t nparts, std::uint32_t phase,
-    const FaultConfig& fault,
+std::vector<Rec> ft_collect_rounds(
+    Comm& comm, const FtRoster& roster, int tag_cmd, int tag_rec,
+    std::uint32_t nparts, std::uint32_t phase, const FaultConfig& fault,
     const std::function<Rec(std::uint32_t, double*)>& scan_one,
-    const std::function<Rec(Message&)>& unpack_one,
-    FtOrder order = FtOrder::kRankMajor,
-    const FtPackState& pack_state = nullptr) {
+    const std::function<Rec(Message&)>& unpack_one, FtOrder order,
+    const FtPackState& pack_state) {
   const int size = comm.size();
+  const int self = comm.rank();
+  std::vector<std::optional<Rec>> by_part(static_cast<std::size_t>(nparts));
   for (std::uint32_t round = 0;; ++round) {
     FOCUS_CHECK(static_cast<int>(round) <= fault.max_retries,
-                "fault recovery exhausted max_retries replays of a phase");
-    const auto assign = ft_assign(nparts, st.live, size);
-    for (int r = 1; r < size; ++r) {
-      if (!st.live[static_cast<std::size_t>(r)]) continue;
+                "fault recovery exhausted max_retries recovery rounds of a "
+                "phase");
+    std::vector<std::uint8_t> live;
+    {
+      const auto lock = roster.lock();
+      live = roster.live;
+    }
+    const auto assign = ft_assign(by_part, live, size);
+    std::vector<int> commanded;
+    for (int r = 0; r < size; ++r) {
+      const auto& parts = assign[static_cast<std::size_t>(r)];
+      if (r == self || !live[static_cast<std::size_t>(r)]) continue;
+      if (round > 0 && parts.empty()) continue;
       Message cmd;
       cmd.pack(kFtCmdScan);
-      cmd.pack(++st.cmd_seq);
+      {
+        const auto lock = roster.lock();
+        cmd.pack(++roster.cmd_seq);
+      }
       cmd.pack(phase);
       cmd.pack(round);
-      cmd.pack_vector(assign[static_cast<std::size_t>(r)]);
+      cmd.pack_vector(parts);
       if (pack_state) {
-        for (const std::uint32_t p : assign[static_cast<std::size_t>(r)]) {
-          pack_state(p, cmd);
-        }
+        for (const std::uint32_t p : parts) pack_state(p, cmd);
       }
-      comm.send(r, kFtTagCmd, std::move(cmd));
+      comm.send(r, tag_cmd, std::move(cmd));
+      commanded.push_back(r);
     }
 
-    std::vector<std::optional<Rec>> by_part(static_cast<std::size_t>(nparts));
     double work = 0.0;
-    for (const std::uint32_t p : assign[0]) {
+    for (const std::uint32_t p : assign[static_cast<std::size_t>(self)]) {
       by_part[p] = scan_one(p, &work);
     }
     comm.charge(work);
 
     bool failed = false;
-    for (int r = 1; r < size && !failed; ++r) {
-      if (!st.live[static_cast<std::size_t>(r)]) continue;
+    for (const int r : commanded) {
       for (;;) {
-        auto res = comm.try_recv(r, kFtTagRec, fault.recv_timeout_vtime);
+        auto res = comm.try_recv(r, tag_rec, fault.recv_timeout_vtime);
         if (res.status == RecvStatus::kTimeout) {
-          st.live[static_cast<std::size_t>(r)] = 0;
+          const auto lock = roster.lock();
+          roster.live[static_cast<std::size_t>(r)] = 0;
           failed = true;
           break;
         }
@@ -198,14 +238,73 @@ std::vector<Rec> ft_collect_phase(
         break;
       }
     }
-    if (failed) {
-      comm.note_retry();
-      comm.charge_recovery(fault.recv_timeout_vtime *
-                           static_cast<double>(round + 1));
-      continue;
-    }
-    return detail::ft_emit(by_part, size, order);
+    if (!failed) return ft_emit(by_part, size, order);
+    comm.note_retry();
+    comm.charge_recovery(fault.recv_timeout_vtime *
+                         static_cast<double>(round + 1));
   }
+}
+
+/// Serves one command received from `coord`: scans the named partitions and
+/// replies with one record frame on `tag_rec`. Returns false on a done
+/// command. Commands at or below `last_seq` are duplicates and are dropped
+/// without re-scanning.
+inline bool ft_serve(Comm& comm, Message& cmd, int coord, int tag_rec,
+                     std::uint64_t& last_seq,
+                     const FtScanAndPack& scan_and_pack,
+                     const FtUnpackState& unpack_state) {
+  const auto kind = cmd.unpack<std::uint32_t>();
+  if (kind == kFtCmdDone) {
+    FOCUS_CHECK(cmd.fully_consumed(), "trailing bytes in done command");
+    return false;
+  }
+  FOCUS_CHECK(kind == kFtCmdScan, "unknown command kind");
+  const auto seq = cmd.unpack<std::uint64_t>();
+  const auto phase = cmd.unpack<std::uint32_t>();
+  const auto round = cmd.unpack<std::uint32_t>();
+  const auto parts = cmd.unpack_vector<std::uint32_t>();
+  if (unpack_state) {
+    for (const std::uint32_t p : parts) unpack_state(phase, p, cmd);
+  }
+  FOCUS_CHECK(cmd.fully_consumed(), "trailing bytes in scan command");
+  if (seq <= last_seq) return true;  // duplicated command; already executed
+  last_seq = seq;
+
+  Message frame;
+  frame.pack(phase);
+  frame.pack(round);
+  frame.pack(static_cast<std::uint32_t>(parts.size()));
+  double work = 0.0;
+  for (const std::uint32_t p : parts) {
+    frame.pack(p);
+    scan_and_pack(phase, p, frame, &work);
+  }
+  comm.charge(work);
+  comm.send(coord, tag_rec, std::move(frame));
+  return true;
+}
+
+}  // namespace detail
+
+/// One worker-record / master-collect phase under the fault-tolerant
+/// protocol. Returns the per-partition records in the canonical order
+/// selected by `order` — so downstream applies see the exact record
+/// sequence of a fault-free run, regardless of which surviving rank
+/// actually scanned each partition. A worker timeout (marking it dead) or a
+/// corrupt frame (worker stays live) fails the round; the next round
+/// re-scans only the partitions whose records are missing, up to
+/// FaultConfig::max_retries recovery rounds.
+template <typename Rec>
+std::vector<Rec> ft_collect_phase(
+    Comm& comm, FtMasterState& st, std::uint32_t nparts, std::uint32_t phase,
+    const FaultConfig& fault,
+    const std::function<Rec(std::uint32_t, double*)>& scan_one,
+    const std::function<Rec(Message&)>& unpack_one,
+    FtOrder order = FtOrder::kRankMajor,
+    const FtPackState& pack_state = nullptr) {
+  return detail::ft_collect_rounds<Rec>(
+      comm, detail::FtRoster{st.live, st.cmd_seq}, kFtTagCmd, kFtTagRec,
+      nparts, phase, fault, scan_one, unpack_one, order, pack_state);
 }
 
 /// Worker loop shared by all drivers: execute scan commands until told to
@@ -213,11 +312,8 @@ std::vector<Rec> ft_collect_phase(
 /// read-only scan and appends its records to the frame. When the master
 /// packs per-partition state into commands, `unpack_state` consumes it (in
 /// assignment order, before any scan runs).
-inline void ft_worker_loop(
-    Comm& comm,
-    const std::function<void(std::uint32_t, std::uint32_t, Message&,
-                             double*)>& scan_and_pack,
-    const FtUnpackState& unpack_state = nullptr) {
+inline void ft_worker_loop(Comm& comm, const FtScanAndPack& scan_and_pack,
+                           const FtUnpackState& unpack_state = nullptr) {
   std::uint64_t last_seq = 0;
   for (;;) {
     Message cmd;
@@ -228,34 +324,10 @@ inline void ft_worker_loop(
       // protocol any more: fail the rank and let the master reassign.
       throw RankFailed(e.what());
     }
-    const auto kind = cmd.unpack<std::uint32_t>();
-    if (kind == kFtCmdDone) {
-      FOCUS_CHECK(cmd.fully_consumed(), "trailing bytes in done command");
+    if (!detail::ft_serve(comm, cmd, 0, kFtTagRec, last_seq, scan_and_pack,
+                          unpack_state)) {
       return;
     }
-    FOCUS_CHECK(kind == kFtCmdScan, "unknown command kind");
-    const auto seq = cmd.unpack<std::uint64_t>();
-    const auto phase = cmd.unpack<std::uint32_t>();
-    const auto round = cmd.unpack<std::uint32_t>();
-    const auto parts = cmd.unpack_vector<std::uint32_t>();
-    if (unpack_state) {
-      for (const std::uint32_t p : parts) unpack_state(phase, p, cmd);
-    }
-    FOCUS_CHECK(cmd.fully_consumed(), "trailing bytes in scan command");
-    if (seq <= last_seq) continue;  // duplicated command; already executed
-    last_seq = seq;
-
-    Message frame;
-    frame.pack(phase);
-    frame.pack(round);
-    frame.pack(static_cast<std::uint32_t>(parts.size()));
-    double work = 0.0;
-    for (const std::uint32_t p : parts) {
-      frame.pack(p);
-      scan_and_pack(phase, p, frame, &work);
-    }
-    comm.charge(work);
-    comm.send(0, kFtTagRec, std::move(frame));
   }
 }
 
@@ -305,7 +377,9 @@ inline void sym_wal_commit(Comm& comm, SymWal& wal, SymWal::Entry entry) {
 
 /// ft_collect_phase for the symmetric protocol: the collector is whichever
 /// rank currently coordinates, and the live set / command sequence live in
-/// the replicated log instead of coordinator-local state.
+/// the replicated log instead of coordinator-local state. Records a dead
+/// coordinator had collected die with it: its successor restarts the
+/// uncommitted phase from round 0.
 template <typename Rec>
 std::vector<Rec> sym_collect_phase(
     Comm& comm, SymWal& wal, std::uint32_t nparts, std::uint32_t phase,
@@ -314,80 +388,10 @@ std::vector<Rec> sym_collect_phase(
     const std::function<Rec(Message&)>& unpack_one,
     FtOrder order = FtOrder::kRankMajor,
     const FtPackState& pack_state = nullptr) {
-  const int size = comm.size();
-  const int self = comm.rank();
-  for (std::uint32_t round = 0;; ++round) {
-    FOCUS_CHECK(static_cast<int>(round) <= fault.max_retries,
-                "fault recovery exhausted max_retries replays of a phase");
-    std::vector<std::uint8_t> live;
-    {
-      std::lock_guard<std::mutex> lock(wal.mu);
-      live = wal.live;
-    }
-    const auto assign = ft_assign(nparts, live, size);
-    for (int r = 0; r < size; ++r) {
-      if (r == self || !live[static_cast<std::size_t>(r)]) continue;
-      Message cmd;
-      cmd.pack(kFtCmdScan);
-      {
-        std::lock_guard<std::mutex> lock(wal.mu);
-        cmd.pack(++wal.cmd_seq);
-      }
-      cmd.pack(phase);
-      cmd.pack(round);
-      cmd.pack_vector(assign[static_cast<std::size_t>(r)]);
-      if (pack_state) {
-        for (const std::uint32_t p : assign[static_cast<std::size_t>(r)]) {
-          pack_state(p, cmd);
-        }
-      }
-      comm.send(r, kFtTagSymCmd, std::move(cmd));
-    }
-
-    std::vector<std::optional<Rec>> by_part(static_cast<std::size_t>(nparts));
-    double work = 0.0;
-    for (const std::uint32_t p : assign[static_cast<std::size_t>(self)]) {
-      by_part[p] = scan_one(p, &work);
-    }
-    comm.charge(work);
-
-    bool failed = false;
-    for (int r = 0; r < size && !failed; ++r) {
-      if (r == self || !live[static_cast<std::size_t>(r)]) continue;
-      for (;;) {
-        auto res = comm.try_recv(r, kFtTagSymRec, fault.recv_timeout_vtime);
-        if (res.status == RecvStatus::kTimeout) {
-          std::lock_guard<std::mutex> lock(wal.mu);
-          wal.live[static_cast<std::size_t>(r)] = 0;
-          failed = true;
-          break;
-        }
-        if (res.status == RecvStatus::kCorrupt) {
-          failed = true;  // frame lost in transit; the worker itself is fine
-          break;
-        }
-        const auto fphase = res.msg.unpack<std::uint32_t>();
-        const auto fround = res.msg.unpack<std::uint32_t>();
-        const auto count = res.msg.unpack<std::uint32_t>();
-        if (fphase != phase || fround != round) continue;  // stale frame
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const auto p = res.msg.unpack<std::uint32_t>();
-          FOCUS_CHECK(p < nparts, "record frame names an invalid partition");
-          by_part[p] = unpack_one(res.msg);
-        }
-        FOCUS_CHECK(res.msg.fully_consumed(),
-                    "trailing bytes in record frame");
-        break;
-      }
-    }
-    if (failed) {
-      comm.note_retry();
-      comm.charge_recovery(fault.recv_timeout_vtime *
-                           static_cast<double>(round + 1));
-      continue;
-    }
-    return detail::ft_emit(by_part, size, order);
-  }
+  return detail::ft_collect_rounds<Rec>(
+      comm, detail::FtRoster{wal.live, wal.cmd_seq, &wal.mu}, kFtTagSymCmd,
+      kFtTagSymRec, nparts, phase, fault, scan_one, unpack_one, order,
+      pack_state);
 }
 
 /// Shared drive loop of the symmetric protocol. Every rank serves scan
@@ -399,12 +403,10 @@ std::vector<Rec> sym_collect_phase(
 /// rank terminated, and every higher live rank then blocks on the true
 /// coordinator or on a terminated rank it is about to prove dead — never on
 /// a live non-coordinator.
-inline void ft_sym_drive(
-    Comm& comm, SymWal& wal, const FaultConfig& fault,
-    const std::function<void(std::uint32_t, std::uint32_t, Message&,
-                             double*)>& scan_and_pack,
-    const std::function<void(std::uint32_t)>& coordinate,
-    const FtUnpackState& unpack_state = nullptr) {
+inline void ft_sym_drive(Comm& comm, SymWal& wal, const FaultConfig& fault,
+                         const FtScanAndPack& scan_and_pack,
+                         const std::function<void(std::uint32_t)>& coordinate,
+                         const FtUnpackState& unpack_state = nullptr) {
   const int size = comm.size();
   const int self = comm.rank();
   int coord = 0;
@@ -432,34 +434,10 @@ inline void ft_sym_drive(
       coord = next;
       continue;
     }
-    const auto kind = cmd.unpack<std::uint32_t>();
-    if (kind == kFtCmdDone) {
-      FOCUS_CHECK(cmd.fully_consumed(), "trailing bytes in done command");
+    if (!detail::ft_serve(comm, cmd, coord, kFtTagSymRec, last_seq,
+                          scan_and_pack, unpack_state)) {
       return;
     }
-    FOCUS_CHECK(kind == kFtCmdScan, "unknown command kind");
-    const auto seq = cmd.unpack<std::uint64_t>();
-    const auto phase = cmd.unpack<std::uint32_t>();
-    const auto round = cmd.unpack<std::uint32_t>();
-    const auto parts = cmd.unpack_vector<std::uint32_t>();
-    if (unpack_state) {
-      for (const std::uint32_t p : parts) unpack_state(phase, p, cmd);
-    }
-    FOCUS_CHECK(cmd.fully_consumed(), "trailing bytes in scan command");
-    if (seq <= last_seq) continue;  // duplicated command; already executed
-    last_seq = seq;
-
-    Message frame;
-    frame.pack(phase);
-    frame.pack(round);
-    frame.pack(static_cast<std::uint32_t>(parts.size()));
-    double work = 0.0;
-    for (const std::uint32_t p : parts) {
-      frame.pack(p);
-      scan_and_pack(phase, p, frame, &work);
-    }
-    comm.charge(work);
-    comm.send(coord, kFtTagSymRec, std::move(frame));
   }
 
   // Coordinator (rank 0 initially, or a successor after rotation): join the

@@ -3,6 +3,7 @@
 // recovery by the fault-tolerant distributed drivers.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <functional>
 #include <sstream>
@@ -17,6 +18,7 @@
 #include "graph/coarsen.hpp"
 #include "io/preprocess.hpp"
 #include "mpr/fault.hpp"
+#include "mpr/ft_phase.hpp"
 #include "mpr/runtime.hpp"
 #include "partition/mlpart.hpp"
 #include "sim/datasets.hpp"
@@ -223,6 +225,131 @@ TEST(RuntimeFault, InjectedCrashIsCountedNotRethrown) {
       {}, plan);
   EXPECT_EQ(stats.ranks_failed, 1);
   EXPECT_EQ(stats.messages, 0u) << "the crashed send delivered nothing";
+}
+
+// --- Shared collect loop (mpr/ft_phase.hpp) ---------------------------------
+
+constexpr int kLoopRanks = 4;
+constexpr std::uint32_t kLoopParts = 16;
+
+// A partition's record is a pure function of its id, like every FT scan.
+std::uint64_t loop_record(std::uint32_t p) {
+  return 0x9e3779b97f4a7c15ull * (p + 1);
+}
+
+struct LoopOutcome {
+  std::vector<std::uint64_t> records;
+  std::vector<int> scans;  // times each partition was scanned, any rank
+  mpr::RunStats stats;
+};
+
+// One collect phase of 16 partitions over 4 ranks, driven directly through
+// either protocol's public entry points.
+LoopOutcome run_collect_loop(bool symmetric, const mpr::FaultPlan& plan) {
+  std::vector<std::atomic<int>> scans(kLoopParts);
+  const std::function<std::uint64_t(std::uint32_t, double*)> scan =
+      [&](std::uint32_t p, double* work) {
+        scans[p].fetch_add(1);
+        *work += 1.0;
+        return loop_record(p);
+      };
+  const std::function<std::uint64_t(mpr::Message&)> unpack =
+      [](mpr::Message& m) { return m.unpack<std::uint64_t>(); };
+  const auto scan_and_pack = [&](std::uint32_t, std::uint32_t p,
+                                 mpr::Message& frame, double* work) {
+    frame.pack(scan(p, work));
+  };
+  const mpr::FaultConfig fault;
+  LoopOutcome out;
+  if (symmetric) {
+    mpr::SymWal wal;
+    wal.live.assign(kLoopRanks, 1);
+    out.stats = mpr::Runtime::execute(
+        kLoopRanks,
+        [&](mpr::Comm& comm) {
+          mpr::ft_sym_drive(comm, wal, fault, scan_and_pack,
+                            [&](std::uint32_t phase_start) {
+                              if (phase_start > 0) return;
+                              out.records = mpr::sym_collect_phase<std::uint64_t>(
+                                  comm, wal, kLoopParts, 0, fault, scan,
+                                  unpack);
+                            });
+        },
+        {}, plan);
+  } else {
+    mpr::FtMasterState st;
+    st.live.assign(kLoopRanks, 1);
+    out.stats = mpr::Runtime::execute(
+        kLoopRanks,
+        [&](mpr::Comm& comm) {
+          if (comm.rank() != 0) {
+            mpr::ft_worker_loop(comm, scan_and_pack);
+            return;
+          }
+          out.records = mpr::ft_collect_phase<std::uint64_t>(
+              comm, st, kLoopParts, 0, fault, scan, unpack);
+          mpr::ft_shutdown_workers(comm, st);
+        },
+        {}, plan);
+  }
+  for (const auto& n : scans) out.scans.push_back(n.load());
+  return out;
+}
+
+// Rank-major canonical order: partitions sorted by (p % ranks, p).
+std::vector<std::uint64_t> canonical_loop_records() {
+  std::vector<std::uint64_t> want;
+  for (std::uint32_t r = 0; r < kLoopRanks; ++r) {
+    for (std::uint32_t p = r; p < kLoopParts; p += kLoopRanks) {
+      want.push_back(loop_record(p));
+    }
+  }
+  return want;
+}
+
+// A worker's ops are: 1 = receive its scan command, 2 = send its record
+// frame. Crashing op 2 kills it after it scanned but before anything of its
+// arrived, so exactly its own partitions must be scanned a second time.
+TEST(CollectLoopFault, LostRankIsTheOnlyOneRescanned) {
+  for (const bool symmetric : {false, true}) {
+    const std::string ctx = symmetric ? "symmetric" : "master";
+    const auto clean = run_collect_loop(symmetric, {});
+    EXPECT_EQ(clean.records, canonical_loop_records()) << ctx;
+    EXPECT_EQ(clean.stats.retries, 0u) << ctx;
+    for (std::uint32_t p = 0; p < kLoopParts; ++p) {
+      EXPECT_EQ(clean.scans[p], 1) << ctx << " partition " << p;
+    }
+
+    mpr::FaultPlan plan;
+    plan.crashes.push_back({2, 2});
+    const auto got = run_collect_loop(symmetric, plan);
+    EXPECT_EQ(got.records, clean.records) << ctx;
+    EXPECT_EQ(got.stats.retries, 1u) << ctx;
+    EXPECT_EQ(got.stats.ranks_failed, 1) << ctx;
+    for (std::uint32_t p = 0; p < kLoopParts; ++p) {
+      EXPECT_EQ(got.scans[p], p % kLoopRanks == 2 ? 2 : 1)
+          << ctx << " partition " << p;
+    }
+  }
+}
+
+// Two workers die in the same round: the collector drains the round instead
+// of stopping at the first failure, so one recovery round finds both.
+TEST(CollectLoopFault, TwoDeathsInOneRoundCostOneRetry) {
+  for (const bool symmetric : {false, true}) {
+    const std::string ctx = symmetric ? "symmetric" : "master";
+    mpr::FaultPlan plan;
+    plan.crashes.push_back({1, 2});
+    plan.crashes.push_back({3, 2});
+    const auto got = run_collect_loop(symmetric, plan);
+    EXPECT_EQ(got.records, canonical_loop_records()) << ctx;
+    EXPECT_EQ(got.stats.retries, 1u) << ctx;
+    EXPECT_EQ(got.stats.ranks_failed, 2) << ctx;
+    for (std::uint32_t p = 0; p < kLoopParts; ++p) {
+      const bool lost = p % kLoopRanks == 1 || p % kLoopRanks == 3;
+      EXPECT_EQ(got.scans[p], lost ? 2 : 1) << ctx << " partition " << p;
+    }
+  }
 }
 
 // --- Fault-tolerant drivers -------------------------------------------------

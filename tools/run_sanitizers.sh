@@ -19,7 +19,10 @@
 # over every FT driver — preprocess, distributed-index overlap, partition,
 # simplify, traverse, variants, GFA, including symmetric-coordinator
 # rotation — plus mixed-fault stress of the runtime's timeout/CRC detection
-# paths and the FaultEnv malformed-knob tests), and the whole-pipeline
+# paths, the FaultEnv malformed-knob tests, and CollectLoopFault's direct
+# drive of the shared collect loop under both protocols: a recovery round
+# re-scans only lost partitions while the collector drains frames that
+# peers are still sending), and the whole-pipeline
 # chaos soak (label `soak`: 50-seed storms and crash sweeps through the
 # full assembler across protocols and graph-store backends, with the spill
 # manager's nth-write disk fault armed), the job-runtime suite (svc_test:
