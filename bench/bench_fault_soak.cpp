@@ -1,9 +1,11 @@
 // Whole-pipeline chaos soak — the full FocusAssembler (plus the variant
 // caller and GFA emitter on its output graph) driven through crash-at-every-
 // op sweeps and seeded mixed-fault storms (crash / drop / duplicate /
-// corrupt / delay), across rank counts, wire protocols and graph-store
-// backends. csr-spill runs also arm the spill manager's nth-write disk
-// fault, so message recovery and disk-write recovery fire in the same run.
+// corrupt / delay), across rank counts and graph-store backends. Every
+// faulted stage runs the one recovery driver (the rotating coordinator over
+// a replicated write-ahead log), whatever the wire-protocol setting.
+// csr-spill runs also arm the spill manager's nth-write disk fault, so
+// message recovery and disk-write recovery fire in the same run.
 //
 //   $ ./bench_fault_soak [--smoke] [output.json]
 //
@@ -37,8 +39,7 @@ constexpr PartId kGraphParts = 4;
 double soak_scale() { return bench::bench_scale(0.3); }
 double soak_coverage() { return bench::bench_coverage(6.0); }
 
-core::FocusConfig soak_config(int ranks, dist::DistProtocol protocol,
-                              graph::GraphStoreBackend backend) {
+core::FocusConfig soak_config(int ranks, graph::GraphStoreBackend backend) {
   core::FocusConfig cfg;
   cfg.overlap.strategy = align::SeedStrategy::kDistributedIndex;
   cfg.overlap.k = 14;
@@ -53,7 +54,7 @@ core::FocusConfig soak_config(int ranks, dist::DistProtocol protocol,
   cfg.fault_plan = mpr::FaultPlan{};
   cfg.fault = mpr::FaultConfig{};
   cfg.fault.max_retries = 32;
-  cfg.dist.protocol = protocol;
+  cfg.dist.protocol = dist::DistProtocol::kSymmetric;
   cfg.graph_store = graph::GraphStoreConfig{};
   cfg.graph_store.backend = backend;
   return cfg;
@@ -82,11 +83,12 @@ struct Expected {
 /// Fault-free reference at one rank count. Traversal output is a function
 /// of the rank count (subpath gather order feeds the greedy join), so each
 /// rank count gets its own oracle; protocols and backends remain
-/// output-equivalent at a fixed rank count.
+/// output-equivalent at a fixed rank count, so the paper's master protocol
+/// serves as the oracle of the recovery driver.
 Expected make_oracle(const io::ReadSet& raw, int ranks) {
-  const auto result = core::assemble_reads(
-      raw, soak_config(ranks, dist::DistProtocol::kMaster,
-                       graph::GraphStoreBackend::kInMemory));
+  auto cfg = soak_config(ranks, graph::GraphStoreBackend::kInMemory);
+  cfg.dist.protocol = dist::DistProtocol::kMaster;
+  const auto result = core::assemble_reads(raw, cfg);
   Expected e;
   e.contigs = result.contigs;
   e.n50 = result.stats.n50;
@@ -129,7 +131,6 @@ struct RunRecord {
   std::string kind;  // "storm" | "crash"
   int dataset = 0;
   int ranks = 0;
-  std::string protocol;
   std::string backend;
   std::uint64_t seed = 0;  // storm runs
   int victim = 0;          // crash runs
@@ -156,11 +157,10 @@ void soak_run(const io::ReadSet& raw, const core::FocusConfig& cfg,
   const auto part = striped_partition(got.assembly_graph.node_count());
   auto variants = dist::find_variants_parallel(
       got.assembly_graph, part, kGraphParts, {}, cfg.ranks, cfg.cost,
-      cfg.fault_plan, cfg.fault, cfg.dist);
+      cfg.fault_plan, cfg.fault);
   rec.stages["8-variants"] = stage_stats(variants.run);
   auto gfa = dist::write_gfa_parallel(got.assembly_graph, {}, cfg.ranks,
-                                      cfg.cost, cfg.fault_plan, cfg.fault,
-                                      cfg.dist);
+                                      cfg.cost, cfg.fault_plan, cfg.fault);
   rec.stages["9-gfa"] = stage_stats(gfa.run);
 
   rec.ok = got.contigs == want.contigs && got.stats.n50 == want.n50 &&
@@ -168,10 +168,6 @@ void soak_run(const io::ReadSet& raw, const core::FocusConfig& cfg,
            got.partitioning.finest_cut == want.finest_cut &&
            same_variants(variants.variants, want.variants) &&
            gfa.gfa == want.gfa;
-}
-
-std::string protocol_name(dist::DistProtocol p) {
-  return p == dist::DistProtocol::kSymmetric ? "symmetric" : "master";
 }
 
 std::string backend_name(graph::GraphStoreBackend b) {
@@ -208,9 +204,8 @@ void write_report(const std::string& path, bool smoke,
     const auto& r = runs[i];
     std::fprintf(f,
                  "    {\"kind\": \"%s\", \"dataset\": \"D%d\", \"ranks\": %d, "
-                 "\"protocol\": \"%s\", \"backend\": \"%s\", ",
-                 r.kind.c_str(), r.dataset, r.ranks, r.protocol.c_str(),
-                 r.backend.c_str());
+                 "\"backend\": \"%s\", ",
+                 r.kind.c_str(), r.dataset, r.ranks, r.backend.c_str());
     if (r.kind == "storm") {
       std::fprintf(f, "\"seed\": %llu, ",
                    static_cast<unsigned long long>(r.seed));
@@ -265,8 +260,9 @@ int main(int argc, char** argv) {
                                              : std::vector<int>{2, 4, 8};
   const std::uint64_t storm_seeds = smoke ? 8 : 50;
   const std::uint64_t crash_ops = smoke ? 4 : 8;
-  const std::vector<dist::DistProtocol> protocols = {
-      dist::DistProtocol::kMaster, dist::DistProtocol::kSymmetric};
+  // Rank 0 is the initial coordinator (its death forces a rotation); rank 1
+  // is a serving rank.
+  const std::vector<Rank> victims = {0, 1};
 
   bench::print_header(std::string("Whole-pipeline fault soak ") +
                       (smoke ? "(smoke)" : "(full)"));
@@ -287,31 +283,27 @@ int main(int argc, char** argv) {
 
   std::vector<RunRecord> runs;
 
-  // Crash-at-every-op sweep: one victim per protocol (the master protocol
-  // cannot lose rank 0; the symmetric one can) at each early op position —
-  // the op counter restarts per stage, so one sweep position faults every
-  // stage of the pipeline that reaches it.
+  // Crash-at-every-op sweep: each victim at each early op position — the
+  // op counter restarts per stage, so one sweep position faults every stage
+  // of the pipeline that reaches it.
   for (std::size_t di = 0; di < datasets.size(); ++di) {
     for (const int ranks : rank_counts) {
-      for (const auto protocol : protocols) {
-        const int victim = protocol == dist::DistProtocol::kMaster ? 1 : 0;
+      for (const Rank victim : victims) {
         for (std::uint64_t op = 1; op <= crash_ops; ++op) {
-          auto cfg = soak_config(ranks, protocol,
-                                 graph::GraphStoreBackend::kInMemory);
+          auto cfg = soak_config(ranks, graph::GraphStoreBackend::kInMemory);
           cfg.fault_plan.crashes.push_back({victim, op});
           RunRecord rec;
           rec.kind = "crash";
           rec.dataset = datasets[di];
           rec.ranks = ranks;
-          rec.protocol = protocol_name(protocol);
           rec.backend = backend_name(cfg.graph_store.backend);
           rec.victim = victim;
           rec.op = op;
           soak_run(raws[di], cfg, oracles.at({di, ranks}), rec);
           if (!rec.ok) {
             std::fprintf(stderr,
-                         "[fault_soak] MISMATCH D%d ranks=%d %s crash r%d@%llu\n",
-                         rec.dataset, ranks, rec.protocol.c_str(), victim,
+                         "[fault_soak] MISMATCH D%d ranks=%d crash r%d@%llu\n",
+                         rec.dataset, ranks, victim,
                          static_cast<unsigned long long>(op));
           }
           runs.push_back(std::move(rec));
@@ -322,15 +314,14 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "[fault_soak] crash sweep done (%zu runs)\n",
                runs.size());
 
-  // Seeded mixed-fault storms, spread over dataset x ranks x protocol x
-  // backend; csr-spill runs also arm the nth-write disk fault.
+  // Seeded mixed-fault storms, spread over dataset x ranks x backend;
+  // csr-spill runs also arm the nth-write disk fault.
   for (std::uint64_t seed = 0; seed < storm_seeds; ++seed) {
     const std::size_t di = seed % datasets.size();
     const int ranks = rank_counts[seed % rank_counts.size()];
-    const auto protocol = protocols[(seed / 2) % protocols.size()];
     const auto backend = (seed % 4 < 2) ? graph::GraphStoreBackend::kInMemory
                                         : graph::GraphStoreBackend::kCsrSpill;
-    auto cfg = soak_config(ranks, protocol, backend);
+    auto cfg = soak_config(ranks, backend);
     cfg.fault_plan.seed = seed * 31 + 17;
     cfg.fault_plan.p_drop = 0.02;
     cfg.fault_plan.p_duplicate = 0.02;
@@ -343,7 +334,6 @@ int main(int argc, char** argv) {
     rec.kind = "storm";
     rec.dataset = datasets[di];
     rec.ranks = ranks;
-    rec.protocol = protocol_name(protocol);
     rec.backend = backend_name(backend);
     rec.seed = seed;
     soak_run(raws[di], cfg, oracles.at({di, ranks}), rec);
@@ -360,11 +350,11 @@ int main(int argc, char** argv) {
   for (const auto& r : runs) {
     if (!r.ok) ++unrecovered;
   }
-  std::vector<int> widths = {10, 8, 12, 12, 8};
-  bench::print_row({"kind", "runs", "protocols", "backends", "bad"}, widths);
-  bench::print_row({"all", std::to_string(runs.size()), "2", "2",
-                    std::to_string(unrecovered)},
-                   widths);
+  std::vector<int> widths = {10, 8, 12, 8};
+  bench::print_row({"kind", "runs", "backends", "bad"}, widths);
+  bench::print_row(
+      {"all", std::to_string(runs.size()), "2", std::to_string(unrecovered)},
+      widths);
   if (unrecovered != 0) {
     std::fprintf(stderr, "[fault_soak] FAIL: %llu unrecovered runs\n",
                  static_cast<unsigned long long>(unrecovered));

@@ -15,8 +15,9 @@
 //
 // Key schema (see stage_cache.cpp): every key chains the upstream artifact's
 // key with this stage's config fingerprint AND the execution envelope
-// (ranks, cost model, fault plan/config, wire protocol). Stage *outputs* are
-// byte-identical across ranks and protocols, but the recorded RunStats
+// (ranks, cost model, fault plan/config). The wire protocol is left out: the
+// cached stages run the same code under either setting. Stage *outputs* are
+// byte-identical across ranks, but the recorded RunStats
 // (makespans, message counts, recovery counters) are not — and a cache hit
 // must reproduce the exact AssemblyResult a fresh run would produce, stats
 // included. Keying on the envelope keeps that property at the cost of some

@@ -110,87 +110,59 @@ ParallelGfaResult write_gfa_parallel_ft(const AsmGraph& graph,
                                         const GfaOptions& options, int nranks,
                                         mpr::CostModel cost,
                                         const mpr::FaultPlan& fault_plan,
-                                        const mpr::FaultConfig& fault,
-                                        const DistConfig& dist) {
+                                        const mpr::FaultConfig& fault) {
   const auto nblocks_s = static_cast<std::uint32_t>(
       (graph.node_count() + kGfaBlock - 1) / kGfaBlock);
   const auto nblocks_l = static_cast<std::uint32_t>(
       (graph.edge_count() + kGfaBlock - 1) / kGfaBlock);
+  const auto render = [&](std::uint32_t phase, std::uint32_t p, double* work) {
+    return phase == 0 ? gfa_segment_block(graph, options, p, work)
+                      : gfa_link_block(graph, options, p, work);
+  };
+
   ParallelGfaResult result;
-
-  const auto scan_one = [&](std::uint32_t phase) {
-    return [&graph, &options, phase](std::uint32_t p, double* work) {
-      return phase == 0 ? gfa_segment_block(graph, options, p, work)
-                        : gfa_link_block(graph, options, p, work);
-    };
-  };
-  const auto unpack_one = [](mpr::Message& m) { return m.unpack_string(); };
-  const auto scan_and_pack = [&](std::uint32_t phase, std::uint32_t p,
-                                 mpr::Message& frame, double* work) {
-    FOCUS_CHECK(phase <= 1, "unknown GFA phase in scan command");
-    frame.pack_string(phase == 0 ? gfa_segment_block(graph, options, p, work)
-                                 : gfa_link_block(graph, options, p, work));
-  };
-  const auto concat = [](const std::vector<std::string>& blocks) {
-    std::string joined;
-    for (const auto& b : blocks) joined += b;
-    return joined;
-  };
-
-  if (dist.protocol == DistProtocol::kSymmetric) {
-    mpr::SymWal wal;
-    wal.live.assign(static_cast<std::size_t>(nranks), 1);
-    result.run = mpr::Runtime::execute(
-        nranks,
-        [&](mpr::Comm& comm) {
-          mpr::ft_sym_drive(
-              comm, wal, fault, scan_and_pack,
-              [&](std::uint32_t phase_start) {
-                for (std::uint32_t phase = phase_start; phase < 2; ++phase) {
-                  auto recs = mpr::sym_collect_phase<std::string>(
-                      comm, wal, phase == 0 ? nblocks_s : nblocks_l, phase,
-                      fault, scan_one(phase), unpack_one,
-                      mpr::FtOrder::kAscending);
-                  mpr::SymWal::Entry entry;
-                  entry.payload.pack_string(concat(recs));
-                  mpr::sym_wal_commit(comm, wal, std::move(entry));
-                }
-                // Publish from the durable record — identical whether this
-                // rank rendered the blocks itself or inherited them.
-                std::string segments, links;
-                {
-                  std::lock_guard<std::mutex> lock(wal.mu);
-                  mpr::Message seg = wal.entries[0].payload;
-                  mpr::Message lnk = wal.entries[1].payload;
-                  segments = seg.unpack_string();
-                  links = lnk.unpack_string();
-                  FOCUS_CHECK(seg.fully_consumed() && lnk.fully_consumed(),
-                              "trailing bytes in GFA log");
-                }
-                result.gfa = kGfaHeader + segments + links;
-              });
-        },
-        cost, fault_plan);
-    return result;
-  }
-
+  mpr::SymWal wal;
+  wal.live.assign(static_cast<std::size_t>(nranks), 1);
   result.run = mpr::Runtime::execute(
       nranks,
       [&](mpr::Comm& comm) {
-        if (comm.rank() == 0) {
-          mpr::FtMasterState st;
-          st.live.assign(static_cast<std::size_t>(comm.size()), 1);
-          auto segments = mpr::ft_collect_phase<std::string>(
-              comm, st, nblocks_s, 0, fault, scan_one(0), unpack_one,
-              mpr::FtOrder::kAscending);
-          auto links = mpr::ft_collect_phase<std::string>(
-              comm, st, nblocks_l, 1, fault, scan_one(1), unpack_one,
-              mpr::FtOrder::kAscending);
-          result.gfa = kGfaHeader + concat(segments) + concat(links);
-          mpr::ft_shutdown_workers(comm, st);
-        } else {
-          mpr::ft_worker_loop(comm, scan_and_pack);
-        }
+        mpr::ft_sym_drive(
+            comm, wal, fault,
+            [&](std::uint32_t phase, std::uint32_t p, mpr::Message& frame,
+                double* work) {
+              FOCUS_CHECK(phase <= 1, "unknown GFA phase in scan command");
+              frame.pack_string(render(phase, p, work));
+            },
+            [&](std::uint32_t phase_start) {
+              for (std::uint32_t phase = phase_start; phase < 2; ++phase) {
+                auto recs = mpr::sym_collect_phase<std::string>(
+                    comm, wal, phase == 0 ? nblocks_s : nblocks_l, phase,
+                    fault,
+                    [&, phase](std::uint32_t p, double* work) {
+                      return render(phase, p, work);
+                    },
+                    [](mpr::Message& m) { return m.unpack_string(); },
+                    mpr::FtOrder::kAscending);
+                std::string joined;
+                for (const auto& block : recs) joined += block;
+                mpr::SymWal::Entry entry;
+                entry.payload.pack_string(joined);
+                mpr::sym_wal_commit(comm, wal, std::move(entry));
+              }
+              // Publish from the durable record — identical whether this
+              // rank rendered the blocks itself or inherited them.
+              std::string segments, links;
+              {
+                std::lock_guard<std::mutex> lock(wal.mu);
+                mpr::Message seg = wal.entries[0].payload;
+                mpr::Message lnk = wal.entries[1].payload;
+                segments = seg.unpack_string();
+                links = lnk.unpack_string();
+                FOCUS_CHECK(seg.fully_consumed() && lnk.fully_consumed(),
+                            "trailing bytes in GFA log");
+              }
+              result.gfa = kGfaHeader + segments + links;
+            });
       },
       cost, fault_plan);
   return result;
@@ -202,12 +174,11 @@ ParallelGfaResult write_gfa_parallel(const AsmGraph& graph,
                                      const GfaOptions& options, int nranks,
                                      mpr::CostModel cost,
                                      const mpr::FaultPlan& fault_plan,
-                                     const mpr::FaultConfig& fault,
-                                     const DistConfig& dist) {
+                                     const mpr::FaultConfig& fault) {
   FOCUS_CHECK(nranks >= 1, "need at least one rank");
   if (!fault_plan.empty()) {
     return write_gfa_parallel_ft(graph, options, nranks, cost, fault_plan,
-                                 fault, dist);
+                                 fault);
   }
 
   const auto nblocks_s = static_cast<std::uint32_t>(

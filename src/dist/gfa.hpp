@@ -40,13 +40,11 @@ struct ParallelGfaResult {
 /// The emitted-segment predicate (live and long enough) is a pure function
 /// of the graph, so link blocks render independently of segment blocks.
 /// With a non-empty fault plan the two phases run under the shared
-/// fault-tolerant protocol (mpr/ft_phase.hpp) — master/worker by default,
-/// the rotating-coordinator WAL when `dist.protocol` is symmetric.
+/// recovery protocol (mpr/ft_phase.hpp), the rotating-coordinator WAL.
 ParallelGfaResult write_gfa_parallel(const AsmGraph& graph,
                                      const GfaOptions& options, int nranks,
                                      mpr::CostModel cost = {},
                                      const mpr::FaultPlan& fault_plan = {},
-                                     const mpr::FaultConfig& fault = {},
-                                     const DistConfig& dist = {});
+                                     const mpr::FaultConfig& fault = {});
 
 }  // namespace focus::dist

@@ -186,75 +186,52 @@ ParallelVariantResult find_variants_parallel_ft(
     const AsmGraph& g, const std::vector<std::vector<NodeId>>& nodes,
     PartId nparts, const VariantConfig& config, int nranks,
     mpr::CostModel cost, const mpr::FaultPlan& fault_plan,
-    const mpr::FaultConfig& fault, const DistConfig& dist) {
+    const mpr::FaultConfig& fault) {
   ParallelVariantResult out;
   using Rec = std::vector<Variant>;
-  const auto scan_one = [&](std::uint32_t p, double* work) {
-    return find_variants(g, nodes[p], config, work);
-  };
-  const auto unpack_one = [&](mpr::Message& m) {
-    auto rec = m.unpack_vector<Variant>();
-    for (const Variant& v : rec) validate_variant(g, v);
-    return rec;
-  };
-  const auto scan_and_pack = [&](std::uint32_t phase, std::uint32_t p,
-                                 mpr::Message& frame, double* work) {
-    FOCUS_CHECK(phase == 0, "unknown variants phase in scan command");
-    frame.pack_vector(find_variants(g, nodes[p], config, work));
-  };
-  const auto merge = [&](mpr::Comm& comm, std::vector<Rec> recs) {
-    std::vector<Variant> all;
-    for (auto& r : recs) all.insert(all.end(), r.begin(), r.end());
-    comm.charge(static_cast<double>(all.size()));
-    return canonical_variants(std::move(all));
-  };
-
-  if (dist.protocol == DistProtocol::kSymmetric) {
-    mpr::SymWal wal;
-    wal.live.assign(static_cast<std::size_t>(nranks), 1);
-    out.run = mpr::Runtime::execute(
-        nranks,
-        [&](mpr::Comm& comm) {
-          mpr::ft_sym_drive(
-              comm, wal, fault, scan_and_pack,
-              [&](std::uint32_t phase_start) {
-                if (phase_start == 0) {
-                  auto recs = mpr::sym_collect_phase<Rec>(
-                      comm, wal, nparts, 0, fault, scan_one, unpack_one);
-                  mpr::SymWal::Entry entry;
-                  entry.payload.pack_vector(merge(comm, std::move(recs)));
-                  mpr::sym_wal_commit(comm, wal, std::move(entry));
-                }
-                // Publish from the durable record — identical whether this
-                // rank merged the records itself or inherited them.
-                mpr::Message payload;
-                {
-                  std::lock_guard<std::mutex> lock(wal.mu);
-                  payload = wal.entries.front().payload;
-                }
-                auto merged = payload.unpack_vector<Variant>();
-                FOCUS_CHECK(payload.fully_consumed(),
-                            "trailing bytes in variant log");
-                out.variants = std::move(merged);
-              });
-        },
-        cost, fault_plan);
-    return out;
-  }
-
+  mpr::SymWal wal;
+  wal.live.assign(static_cast<std::size_t>(nranks), 1);
   out.run = mpr::Runtime::execute(
       nranks,
       [&](mpr::Comm& comm) {
-        if (comm.rank() == 0) {
-          mpr::FtMasterState st;
-          st.live.assign(static_cast<std::size_t>(comm.size()), 1);
-          auto recs = mpr::ft_collect_phase<Rec>(comm, st, nparts, 0, fault,
-                                                 scan_one, unpack_one);
-          out.variants = merge(comm, std::move(recs));
-          mpr::ft_shutdown_workers(comm, st);
-        } else {
-          mpr::ft_worker_loop(comm, scan_and_pack);
-        }
+        mpr::ft_sym_drive(
+            comm, wal, fault,
+            [&](std::uint32_t phase, std::uint32_t p, mpr::Message& frame,
+                double* work) {
+              FOCUS_CHECK(phase == 0, "unknown variants phase in scan command");
+              frame.pack_vector(find_variants(g, nodes[p], config, work));
+            },
+            [&](std::uint32_t phase_start) {
+              if (phase_start == 0) {
+                auto recs = mpr::sym_collect_phase<Rec>(
+                    comm, wal, nparts, 0, fault,
+                    [&](std::uint32_t p, double* work) {
+                      return find_variants(g, nodes[p], config, work);
+                    },
+                    [&](mpr::Message& m) {
+                      auto rec = m.unpack_vector<Variant>();
+                      for (const Variant& v : rec) validate_variant(g, v);
+                      return rec;
+                    });
+                std::vector<Variant> all;
+                for (auto& r : recs) all.insert(all.end(), r.begin(), r.end());
+                comm.charge(static_cast<double>(all.size()));
+                mpr::SymWal::Entry entry;
+                entry.payload.pack_vector(canonical_variants(std::move(all)));
+                mpr::sym_wal_commit(comm, wal, std::move(entry));
+              }
+              // Publish from the durable record — identical whether this
+              // rank merged the records itself or inherited them.
+              mpr::Message payload;
+              {
+                std::lock_guard<std::mutex> lock(wal.mu);
+                payload = wal.entries.front().payload;
+              }
+              auto merged = payload.unpack_vector<Variant>();
+              FOCUS_CHECK(payload.fully_consumed(),
+                          "trailing bytes in variant log");
+              out.variants = std::move(merged);
+            });
       },
       cost, fault_plan);
   return out;
@@ -265,8 +242,7 @@ ParallelVariantResult find_variants_parallel_ft(
 ParallelVariantResult find_variants_parallel(
     const AsmGraph& g, std::span<const PartId> part, PartId nparts,
     const VariantConfig& config, int nranks, mpr::CostModel cost,
-    const mpr::FaultPlan& fault_plan, const mpr::FaultConfig& fault,
-    const DistConfig& dist) {
+    const mpr::FaultPlan& fault_plan, const mpr::FaultConfig& fault) {
   FOCUS_CHECK(part.size() == g.node_count(), "partition size mismatch");
   std::vector<std::vector<NodeId>> nodes(static_cast<std::size_t>(nparts));
   for (NodeId v = 0; v < part.size(); ++v) {
@@ -276,7 +252,7 @@ ParallelVariantResult find_variants_parallel(
 
   if (!fault_plan.empty()) {
     return find_variants_parallel_ft(g, nodes, nparts, config, nranks, cost,
-                                     fault_plan, fault, dist);
+                                     fault_plan, fault);
   }
 
   ParallelVariantResult out;

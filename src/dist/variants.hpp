@@ -76,13 +76,11 @@ struct ParallelVariantResult {
 /// Distributed driver: one partition per worker (round-robin over ranks),
 /// master merge + dedupe — the same §V master/worker protocol as the
 /// cleaning passes. With a non-empty fault plan the scan runs under the
-/// shared fault-tolerant phase protocol (mpr/ft_phase.hpp): master/worker by
-/// default, the rotating-coordinator WAL when `dist.protocol` is symmetric —
-/// either way recovering the byte-identical fault-free variant list.
+/// shared recovery protocol (mpr/ft_phase.hpp), the rotating-coordinator
+/// WAL, recovering the byte-identical fault-free variant list.
 ParallelVariantResult find_variants_parallel(
     const AsmGraph& g, std::span<const PartId> part, PartId nparts,
     const VariantConfig& config, int nranks, mpr::CostModel cost = {},
-    const mpr::FaultPlan& fault_plan = {}, const mpr::FaultConfig& fault = {},
-    const DistConfig& dist = {});
+    const mpr::FaultPlan& fault_plan = {}, const mpr::FaultConfig& fault = {});
 
 }  // namespace focus::dist

@@ -196,9 +196,8 @@ PreprocessBlock unpack_block(mpr::Message& m) {
 }
 
 /// Concatenate collected blocks (ascending id order) into the final result.
-/// Overwrites rather than appends: under the symmetric protocol a successor
-/// coordinator re-assembles from the log after a predecessor may already
-/// have partially published.
+/// Overwrites rather than appends: a successor coordinator re-assembles from
+/// the log after a predecessor may already have partially published.
 void assemble_blocks(const ReadSet& input, std::vector<PreprocessBlock> recs,
                      ParallelPreprocessResult* result) {
   ReadSet reads;
@@ -218,81 +217,59 @@ ParallelPreprocessResult preprocess_parallel_ft(const ReadSet& input,
                                                 const PreprocessConfig& config,
                                                 int nranks, mpr::CostModel cost,
                                                 const mpr::FaultPlan& fault_plan,
-                                                const mpr::FaultConfig& fault,
-                                                bool symmetric) {
+                                                const mpr::FaultConfig& fault) {
   const auto nparts = static_cast<std::uint32_t>(
       (input.size() + kFtReadBlock - 1) / kFtReadBlock);
   ParallelPreprocessResult result;
-
-  const auto scan_one = [&](std::uint32_t p, double* work) {
-    return preprocess_block(input, config, p, work);
-  };
-  const auto unpack_one = [](mpr::Message& m) { return unpack_block(m); };
-  const auto scan_and_pack = [&](std::uint32_t phase, std::uint32_t p,
-                                 mpr::Message& frame, double* work) {
-    FOCUS_CHECK(phase == 0, "unknown preprocess phase in scan command");
-    pack_block(preprocess_block(input, config, p, work), frame);
-  };
-
-  if (symmetric) {
-    mpr::SymWal wal;
-    wal.live.assign(static_cast<std::size_t>(nranks), 1);
-    result.run = mpr::Runtime::execute(
-        nranks,
-        [&](mpr::Comm& comm) {
-          mpr::ft_sym_drive(
-              comm, wal, fault, scan_and_pack,
-              [&](std::uint32_t phase_start) {
-                if (phase_start == 0) {
-                  auto recs = mpr::sym_collect_phase<PreprocessBlock>(
-                      comm, wal, nparts, 0, fault, scan_one, unpack_one,
-                      mpr::FtOrder::kAscending);
-                  mpr::SymWal::Entry entry;
-                  entry.payload.pack(static_cast<std::uint32_t>(recs.size()));
-                  for (const auto& block : recs) {
-                    pack_block(block, entry.payload);
-                  }
-                  mpr::sym_wal_commit(comm, wal, std::move(entry));
-                }
-                // Assemble from the durable record — identical whether this
-                // rank collected the blocks itself or inherited them from a
-                // crashed predecessor.
-                mpr::Message payload;
-                {
-                  std::lock_guard<std::mutex> lock(wal.mu);
-                  payload = wal.entries.front().payload;
-                }
-                const auto count = payload.unpack<std::uint32_t>();
-                FOCUS_CHECK(count == nparts,
-                            "preprocess log holds the wrong block count");
-                std::vector<PreprocessBlock> recs;
-                recs.reserve(count);
-                for (std::uint32_t i = 0; i < count; ++i) {
-                  recs.push_back(unpack_block(payload));
-                }
-                FOCUS_CHECK(payload.fully_consumed(),
-                            "trailing bytes in preprocess log");
-                assemble_blocks(input, std::move(recs), &result);
-              });
-        },
-        cost, fault_plan);
-    return result;
-  }
-
+  mpr::SymWal wal;
+  wal.live.assign(static_cast<std::size_t>(nranks), 1);
   result.run = mpr::Runtime::execute(
       nranks,
       [&](mpr::Comm& comm) {
-        if (comm.rank() == 0) {
-          mpr::FtMasterState st;
-          st.live.assign(static_cast<std::size_t>(comm.size()), 1);
-          auto recs = mpr::ft_collect_phase<PreprocessBlock>(
-              comm, st, nparts, 0, fault, scan_one, unpack_one,
-              mpr::FtOrder::kAscending);
-          assemble_blocks(input, std::move(recs), &result);
-          mpr::ft_shutdown_workers(comm, st);
-        } else {
-          mpr::ft_worker_loop(comm, scan_and_pack);
-        }
+        mpr::ft_sym_drive(
+            comm, wal, fault,
+            [&](std::uint32_t phase, std::uint32_t p, mpr::Message& frame,
+                double* work) {
+              FOCUS_CHECK(phase == 0,
+                          "unknown preprocess phase in scan command");
+              pack_block(preprocess_block(input, config, p, work), frame);
+            },
+            [&](std::uint32_t phase_start) {
+              if (phase_start == 0) {
+                auto recs = mpr::sym_collect_phase<PreprocessBlock>(
+                    comm, wal, nparts, 0, fault,
+                    [&](std::uint32_t p, double* work) {
+                      return preprocess_block(input, config, p, work);
+                    },
+                    [](mpr::Message& m) { return unpack_block(m); },
+                    mpr::FtOrder::kAscending);
+                mpr::SymWal::Entry entry;
+                entry.payload.pack(static_cast<std::uint32_t>(recs.size()));
+                for (const auto& block : recs) {
+                  pack_block(block, entry.payload);
+                }
+                mpr::sym_wal_commit(comm, wal, std::move(entry));
+              }
+              // Assemble from the durable record — identical whether this
+              // rank collected the blocks itself or inherited them from a
+              // crashed predecessor.
+              mpr::Message payload;
+              {
+                std::lock_guard<std::mutex> lock(wal.mu);
+                payload = wal.entries.front().payload;
+              }
+              const auto count = payload.unpack<std::uint32_t>();
+              FOCUS_CHECK(count == nparts,
+                          "preprocess log holds the wrong block count");
+              std::vector<PreprocessBlock> recs;
+              recs.reserve(count);
+              for (std::uint32_t i = 0; i < count; ++i) {
+                recs.push_back(unpack_block(payload));
+              }
+              FOCUS_CHECK(payload.fully_consumed(),
+                          "trailing bytes in preprocess log");
+              assemble_blocks(input, std::move(recs), &result);
+            });
       },
       cost, fault_plan);
   return result;
@@ -303,11 +280,12 @@ ParallelPreprocessResult preprocess_parallel_ft(const ReadSet& input,
 ParallelPreprocessResult preprocess_parallel(
     const ReadSet& input, const PreprocessConfig& config, int nranks,
     mpr::CostModel cost, const mpr::FaultPlan& fault_plan,
-    const mpr::FaultConfig& fault, bool symmetric) {
+    const mpr::FaultConfig& fault,
+    bool /*symmetric*/) {  // Unused: every plan runs one recovery driver.
   FOCUS_CHECK(nranks >= 1, "need at least one rank");
   if (!fault_plan.empty()) {
     return preprocess_parallel_ft(input, config, nranks, cost, fault_plan,
-                                  fault, symmetric);
+                                  fault);
   }
   ParallelPreprocessResult result;
   result.run = mpr::Runtime::execute(

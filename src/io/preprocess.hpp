@@ -73,14 +73,12 @@ struct ParallelPreprocessResult {
 /// contiguous chunk of the input; rank 0 gathers the chunks in rank order,
 /// so the output is identical to the serial preprocess().
 ///
-/// With a non-empty fault plan the stage runs under the shared
-/// fault-tolerant phase protocol (mpr/ft_phase.hpp) over fixed 64-read
-/// blocks — the block decomposition is a pure function of the read count, so
-/// replayed blocks reproduce the serial output byte for byte regardless of
-/// which surviving rank scans them. `symmetric` selects the rotating-
-/// coordinator WAL protocol (survives a rank-0 crash) instead of
-/// master/worker; it is a plain bool rather than a dist::DistConfig because
-/// the io layer sits below dist.
+/// With a non-empty fault plan the stage runs under the shared recovery
+/// protocol (mpr/ft_phase.hpp), the rotating-coordinator WAL that survives
+/// any rank's death, rank 0 included, over fixed 64-read blocks — the block
+/// decomposition is a pure function of the read count, so replayed blocks
+/// reproduce the serial output byte for byte regardless of which surviving
+/// rank scans them. `symmetric` is unused: every plan runs that one driver.
 ParallelPreprocessResult preprocess_parallel(
     const ReadSet& input, const PreprocessConfig& config, int nranks,
     mpr::CostModel cost = {}, const mpr::FaultPlan& fault_plan = {},

@@ -1,23 +1,19 @@
 // Shared fault-tolerant phase machinery (DESIGN.md §7 / §7b), extracted from
 // the dist drivers so every pipeline stage — preprocess, overlap, partition,
-// simplify, traverse, variants, GFA emission — runs the same two protocols:
+// simplify, traverse, variants, GFA emission — recovers through one
+// protocol: a rotating coordinator over a replicated write-ahead log.
 //
-//  * master/worker (§7): rank 0 commands scans over replayable partitions,
-//    collects CRC-framed records, and detects dead workers by quiescence
-//    timeout. A failed round keeps every record that did arrive; the next
-//    round re-scans only the missing partitions (orphans of dead ranks go
-//    round-robin over the live ranks), bounded by FaultConfig::max_retries.
-//  * symmetric (§7b): coordination is a *role* — whichever live rank
-//    currently coordinates runs the same collect loop but commits each
-//    completed phase to a write-ahead log modeling replicated stable
-//    storage; on the coordinator's death the lowest surviving rank takes
-//    over, fast-forwards through the log and resumes at the first
-//    uncommitted phase. No rank is irreplaceable.
+// Coordination is a *role*: whichever live rank currently coordinates
+// commands scans over replayable partitions, collects CRC-framed records,
+// detects dead ranks by quiescence timeout, and commits each completed phase
+// to a write-ahead log modeling replicated stable storage. A failed round
+// keeps every record that did arrive; the next round re-scans only the
+// missing partitions (orphans of dead ranks go round-robin over the live
+// ranks), bounded by FaultConfig::max_retries. On the coordinator's death
+// the lowest surviving rank takes over, fast-forwards through the log and
+// resumes at the first uncommitted phase. No rank is irreplaceable.
 //
-// Both protocols share one collect loop (detail::ft_collect_rounds) and one
-// command handler (detail::ft_serve); they differ only in where the live set
-// and command sequence live, their tag pair, and the collecting rank. Every
-// scan command carries a monotone sequence number (workers discard
+// Every scan command carries a monotone sequence number (ranks discard
 // duplicated commands without re-scanning) and every record frame carries
 // its (phase, round) so stale frames from failed rounds are discarded.
 // Scans are pure in (phase, partition), so a record kept from a failed
@@ -31,10 +27,10 @@
 //    read blocks, GFA line blocks, bisection regions) need to match their
 //    serial output byte for byte.
 //  * an optional per-partition state blob packed into scan commands
-//    (pack_state / worker-side unpack hook), for drivers whose scan inputs
-//    evolve across phases (the mlpart region lists): workers stay stateless
-//    and every scan is a pure function of the command payload, so replays
-//    need no shared-state reconciliation.
+//    (pack_state / serving-side unpack hook), for drivers whose scan inputs
+//    evolve across phases (the mlpart region lists): serving ranks stay
+//    stateless and every scan is a pure function of the command payload, so
+//    replays need no shared-state reconciliation.
 #pragma once
 
 #include <cstdint>
@@ -50,12 +46,10 @@
 
 namespace focus::mpr {
 
-// Wire tags of the two protocols; each driver runs in its own Runtime, so
-// the tags are shared across stages without collision.
-inline constexpr int kFtTagCmd = 100;
-inline constexpr int kFtTagRec = 101;
-inline constexpr int kFtTagSymCmd = 120;
-inline constexpr int kFtTagSymRec = 121;
+// Wire tags of the recovery protocol; each driver runs in its own Runtime,
+// so the tags are shared across stages without collision.
+inline constexpr int kFtTagCmd = 120;
+inline constexpr int kFtTagRec = 121;
 inline constexpr std::uint32_t kFtCmdScan = 1;
 inline constexpr std::uint32_t kFtCmdDone = 2;
 
@@ -64,7 +58,7 @@ enum class FtOrder { kRankMajor, kAscending };
 
 /// Optional hook appending partition `p`'s scan state to a command frame.
 using FtPackState = std::function<void(std::uint32_t p, Message&)>;
-/// Worker-side mirror: consume partition `p`'s state from the command.
+/// Serving-side mirror: consume partition `p`'s state from the command.
 using FtUnpackState =
     std::function<void(std::uint32_t phase, std::uint32_t p, Message&)>;
 
@@ -104,11 +98,6 @@ std::vector<std::vector<std::uint32_t>> ft_assign(
   return parts_for_rank;
 }
 
-struct FtMasterState {
-  std::vector<std::uint8_t> live;  // live[0] is the master itself
-  std::uint64_t cmd_seq = 0;
-};
-
 /// Per-rank scan of one partition, appending its records to a frame.
 using FtScanAndPack =
     std::function<void(std::uint32_t phase, std::uint32_t p, Message& frame,
@@ -141,115 +130,11 @@ std::vector<Rec> ft_emit(std::vector<std::optional<Rec>>& by_part, int size,
   return out;
 }
 
-/// Where a protocol keeps its failure detector's live set and its command
-/// sequence: coordinator-local (FtMasterState) or in the replicated log
-/// (SymWal), whose mutex then guards both.
-struct FtRoster {
-  std::vector<std::uint8_t>& live;
-  std::uint64_t& cmd_seq;
-  std::mutex* mu = nullptr;
-
-  std::unique_lock<std::mutex> lock() const {
-    return mu ? std::unique_lock<std::mutex>(*mu)
-              : std::unique_lock<std::mutex>();
-  }
-};
-
-/// The collect loop of both protocols, run by the collecting rank. Each
-/// round commands scans of the still-missing partitions, scans its own share
-/// locally, and drains one record frame from every commanded rank — a
-/// timeout (rank marked dead) or corrupt frame fails the round but does not
-/// stop the drain, so every failure of a round is found in that round.
-/// Records received in a failed round are kept. Round 0 commands every live
-/// rank (the fault-free op sequence); a recovery round commands only the
-/// ranks assigned missing partitions.
-template <typename Rec>
-std::vector<Rec> ft_collect_rounds(
-    Comm& comm, const FtRoster& roster, int tag_cmd, int tag_rec,
-    std::uint32_t nparts, std::uint32_t phase, const FaultConfig& fault,
-    const std::function<Rec(std::uint32_t, double*)>& scan_one,
-    const std::function<Rec(Message&)>& unpack_one, FtOrder order,
-    const FtPackState& pack_state) {
-  const int size = comm.size();
-  const int self = comm.rank();
-  std::vector<std::optional<Rec>> by_part(static_cast<std::size_t>(nparts));
-  for (std::uint32_t round = 0;; ++round) {
-    FOCUS_CHECK(static_cast<int>(round) <= fault.max_retries,
-                "fault recovery exhausted max_retries recovery rounds of a "
-                "phase");
-    std::vector<std::uint8_t> live;
-    {
-      const auto lock = roster.lock();
-      live = roster.live;
-    }
-    const auto assign = ft_assign(by_part, live, size);
-    std::vector<int> commanded;
-    for (int r = 0; r < size; ++r) {
-      const auto& parts = assign[static_cast<std::size_t>(r)];
-      if (r == self || !live[static_cast<std::size_t>(r)]) continue;
-      if (round > 0 && parts.empty()) continue;
-      Message cmd;
-      cmd.pack(kFtCmdScan);
-      {
-        const auto lock = roster.lock();
-        cmd.pack(++roster.cmd_seq);
-      }
-      cmd.pack(phase);
-      cmd.pack(round);
-      cmd.pack_vector(parts);
-      if (pack_state) {
-        for (const std::uint32_t p : parts) pack_state(p, cmd);
-      }
-      comm.send(r, tag_cmd, std::move(cmd));
-      commanded.push_back(r);
-    }
-
-    double work = 0.0;
-    for (const std::uint32_t p : assign[static_cast<std::size_t>(self)]) {
-      by_part[p] = scan_one(p, &work);
-    }
-    comm.charge(work);
-
-    bool failed = false;
-    for (const int r : commanded) {
-      for (;;) {
-        auto res = comm.try_recv(r, tag_rec, fault.recv_timeout_vtime);
-        if (res.status == RecvStatus::kTimeout) {
-          const auto lock = roster.lock();
-          roster.live[static_cast<std::size_t>(r)] = 0;
-          failed = true;
-          break;
-        }
-        if (res.status == RecvStatus::kCorrupt) {
-          failed = true;  // frame lost in transit; the worker itself is fine
-          break;
-        }
-        const auto fphase = res.msg.unpack<std::uint32_t>();
-        const auto fround = res.msg.unpack<std::uint32_t>();
-        const auto count = res.msg.unpack<std::uint32_t>();
-        if (fphase != phase || fround != round) continue;  // stale frame
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const auto p = res.msg.unpack<std::uint32_t>();
-          FOCUS_CHECK(p < nparts, "record frame names an invalid partition");
-          by_part[p] = unpack_one(res.msg);
-        }
-        FOCUS_CHECK(res.msg.fully_consumed(),
-                    "trailing bytes in record frame");
-        break;
-      }
-    }
-    if (!failed) return ft_emit(by_part, size, order);
-    comm.note_retry();
-    comm.charge_recovery(fault.recv_timeout_vtime *
-                         static_cast<double>(round + 1));
-  }
-}
-
 /// Serves one command received from `coord`: scans the named partitions and
-/// replies with one record frame on `tag_rec`. Returns false on a done
-/// command. Commands at or below `last_seq` are duplicates and are dropped
-/// without re-scanning.
-inline bool ft_serve(Comm& comm, Message& cmd, int coord, int tag_rec,
+/// replies with one record frame. Returns false on a done command. Commands
+/// at or below `last_seq` are duplicates and are dropped without
+/// re-scanning.
+inline bool ft_serve(Comm& comm, Message& cmd, int coord,
                      std::uint64_t& last_seq,
                      const FtScanAndPack& scan_and_pack,
                      const FtUnpackState& unpack_state) {
@@ -280,76 +165,17 @@ inline bool ft_serve(Comm& comm, Message& cmd, int coord, int tag_rec,
     scan_and_pack(phase, p, frame, &work);
   }
   comm.charge(work);
-  comm.send(coord, tag_rec, std::move(frame));
+  comm.send(coord, kFtTagRec, std::move(frame));
   return true;
 }
 
 }  // namespace detail
 
-/// One worker-record / master-collect phase under the fault-tolerant
-/// protocol. Returns the per-partition records in the canonical order
-/// selected by `order` — so downstream applies see the exact record
-/// sequence of a fault-free run, regardless of which surviving rank
-/// actually scanned each partition. A worker timeout (marking it dead) or a
-/// corrupt frame (worker stays live) fails the round; the next round
-/// re-scans only the partitions whose records are missing, up to
-/// FaultConfig::max_retries recovery rounds.
-template <typename Rec>
-std::vector<Rec> ft_collect_phase(
-    Comm& comm, FtMasterState& st, std::uint32_t nparts, std::uint32_t phase,
-    const FaultConfig& fault,
-    const std::function<Rec(std::uint32_t, double*)>& scan_one,
-    const std::function<Rec(Message&)>& unpack_one,
-    FtOrder order = FtOrder::kRankMajor,
-    const FtPackState& pack_state = nullptr) {
-  return detail::ft_collect_rounds<Rec>(
-      comm, detail::FtRoster{st.live, st.cmd_seq}, kFtTagCmd, kFtTagRec,
-      nparts, phase, fault, scan_one, unpack_one, order, pack_state);
-}
-
-/// Worker loop shared by all drivers: execute scan commands until told to
-/// stop. `scan_and_pack(phase, partition, frame, work)` runs one partition's
-/// read-only scan and appends its records to the frame. When the master
-/// packs per-partition state into commands, `unpack_state` consumes it (in
-/// assignment order, before any scan runs).
-inline void ft_worker_loop(Comm& comm, const FtScanAndPack& scan_and_pack,
-                           const FtUnpackState& unpack_state = nullptr) {
-  std::uint64_t last_seq = 0;
-  for (;;) {
-    Message cmd;
-    try {
-      cmd = comm.recv(0, kFtTagCmd);
-    } catch (const CorruptMessage& e) {
-      // A command this worker cannot decode means it cannot follow the
-      // protocol any more: fail the rank and let the master reassign.
-      throw RankFailed(e.what());
-    }
-    if (!detail::ft_serve(comm, cmd, 0, kFtTagRec, last_seq, scan_and_pack,
-                          unpack_state)) {
-      return;
-    }
-  }
-}
-
-inline void ft_shutdown_workers(Comm& comm, const FtMasterState& st) {
-  for (int r = 1; r < comm.size(); ++r) {
-    if (!st.live[static_cast<std::size_t>(r)]) continue;
-    Message done;
-    done.pack(kFtCmdDone);
-    comm.send(r, kFtTagCmd, std::move(done));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Symmetric fault-tolerant protocol (DESIGN.md §7b): rotating coordinator
-// over a replicated write-ahead log.
-// ---------------------------------------------------------------------------
-
 /// Replicated write-ahead log shared by all ranks. The mutex stands in for
 /// the replicated-storage commit protocol; `live` and `cmd_seq` ride along so
 /// a successor inherits the failure detector's state and the command-sequence
-/// high-water mark (workers discard stale duplicates by sequence number, so
-/// the counter must survive the coordinator).
+/// high-water mark (serving ranks discard stale duplicates by sequence
+/// number, so the counter must survive the coordinator).
 struct SymWal {
   struct Entry {
     Message payload;                  // canonical records, applied order
@@ -375,10 +201,19 @@ inline void sym_wal_commit(Comm& comm, SymWal& wal, SymWal::Entry entry) {
                      comm.cost().message_cost(bytes));
 }
 
-/// ft_collect_phase for the symmetric protocol: the collector is whichever
-/// rank currently coordinates, and the live set / command sequence live in
-/// the replicated log instead of coordinator-local state. Records a dead
-/// coordinator had collected die with it: its successor restarts the
+/// One collected phase, run by whichever rank currently coordinates. Each
+/// round commands scans of the still-missing partitions, scans its own share
+/// locally, and drains one record frame from every commanded rank — a
+/// timeout (rank marked dead in the log) or corrupt frame fails the round
+/// but does not stop the drain, so every failure of a round is found in that
+/// round. Records received in a failed round are kept; the next round
+/// re-scans only the missing partitions, up to FaultConfig::max_retries
+/// recovery rounds. Round 0 commands every live rank (the fault-free op
+/// sequence); a recovery round commands only the ranks assigned missing
+/// partitions. Returns the records in the canonical order selected by
+/// `order`, so downstream applies see the exact record sequence of a
+/// fault-free run regardless of which rank scanned each partition. Records a
+/// dead coordinator had collected die with it: its successor restarts the
 /// uncommitted phase from round 0.
 template <typename Rec>
 std::vector<Rec> sym_collect_phase(
@@ -388,21 +223,93 @@ std::vector<Rec> sym_collect_phase(
     const std::function<Rec(Message&)>& unpack_one,
     FtOrder order = FtOrder::kRankMajor,
     const FtPackState& pack_state = nullptr) {
-  return detail::ft_collect_rounds<Rec>(
-      comm, detail::FtRoster{wal.live, wal.cmd_seq, &wal.mu}, kFtTagSymCmd,
-      kFtTagSymRec, nparts, phase, fault, scan_one, unpack_one, order,
-      pack_state);
+  const int size = comm.size();
+  const int self = comm.rank();
+  std::vector<std::optional<Rec>> by_part(static_cast<std::size_t>(nparts));
+  for (std::uint32_t round = 0;; ++round) {
+    FOCUS_CHECK(static_cast<int>(round) <= fault.max_retries,
+                "fault recovery exhausted max_retries recovery rounds of a "
+                "phase");
+    std::vector<std::uint8_t> live;
+    {
+      std::lock_guard<std::mutex> lock(wal.mu);
+      live = wal.live;
+    }
+    const auto assign = ft_assign(by_part, live, size);
+    std::vector<int> commanded;
+    for (int r = 0; r < size; ++r) {
+      const auto& parts = assign[static_cast<std::size_t>(r)];
+      if (r == self || !live[static_cast<std::size_t>(r)]) continue;
+      if (round > 0 && parts.empty()) continue;
+      Message cmd;
+      cmd.pack(kFtCmdScan);
+      {
+        std::lock_guard<std::mutex> lock(wal.mu);
+        cmd.pack(++wal.cmd_seq);
+      }
+      cmd.pack(phase);
+      cmd.pack(round);
+      cmd.pack_vector(parts);
+      if (pack_state) {
+        for (const std::uint32_t p : parts) pack_state(p, cmd);
+      }
+      comm.send(r, kFtTagCmd, std::move(cmd));
+      commanded.push_back(r);
+    }
+
+    double work = 0.0;
+    for (const std::uint32_t p : assign[static_cast<std::size_t>(self)]) {
+      by_part[p] = scan_one(p, &work);
+    }
+    comm.charge(work);
+
+    bool failed = false;
+    for (const int r : commanded) {
+      for (;;) {
+        auto res = comm.try_recv(r, kFtTagRec, fault.recv_timeout_vtime);
+        if (res.status == RecvStatus::kTimeout) {
+          std::lock_guard<std::mutex> lock(wal.mu);
+          wal.live[static_cast<std::size_t>(r)] = 0;
+          failed = true;
+          break;
+        }
+        if (res.status == RecvStatus::kCorrupt) {
+          failed = true;  // frame lost in transit; the rank itself is fine
+          break;
+        }
+        const auto fphase = res.msg.unpack<std::uint32_t>();
+        const auto fround = res.msg.unpack<std::uint32_t>();
+        const auto count = res.msg.unpack<std::uint32_t>();
+        if (fphase != phase || fround != round) continue;  // stale frame
+        for (std::uint32_t i = 0; i < count; ++i) {
+          const auto p = res.msg.unpack<std::uint32_t>();
+          FOCUS_CHECK(p < nparts, "record frame names an invalid partition");
+          by_part[p] = unpack_one(res.msg);
+        }
+        FOCUS_CHECK(res.msg.fully_consumed(),
+                    "trailing bytes in record frame");
+        break;
+      }
+    }
+    if (!failed) return detail::ft_emit(by_part, size, order);
+    comm.note_retry();
+    comm.charge_recovery(fault.recv_timeout_vtime *
+                         static_cast<double>(round + 1));
+  }
 }
 
-/// Shared drive loop of the symmetric protocol. Every rank serves scan
-/// commands from whichever rank it currently believes coordinates; on proof
-/// of that rank's death it rotates to the lowest rank it has not proven dead
-/// (death is only ever proven by a receive from a terminated rank throwing).
-/// Rank order is the succession order, so at most one live rank can believe
-/// itself coordinator: a rank self-appoints only after proving every lower
-/// rank terminated, and every higher live rank then blocks on the true
+/// Drive loop of the recovery protocol. Every rank serves scan commands from
+/// whichever rank it currently believes coordinates; on proof of that rank's
+/// death it rotates to the lowest rank it has not proven dead (death is only
+/// ever proven by a receive from a terminated rank throwing). Rank order is
+/// the succession order, so at most one live rank can believe itself
+/// coordinator: a rank self-appoints only after proving every lower rank
+/// terminated, and every higher live rank then blocks on the true
 /// coordinator or on a terminated rank it is about to prove dead — never on
-/// a live non-coordinator.
+/// a live non-coordinator. `scan_and_pack(phase, partition, frame, work)`
+/// runs one partition's read-only scan and appends its records to the
+/// frame; when the coordinator packs per-partition state into commands,
+/// `unpack_state` consumes it (in assignment order, before any scan runs).
 inline void ft_sym_drive(Comm& comm, SymWal& wal, const FaultConfig& fault,
                          const FtScanAndPack& scan_and_pack,
                          const std::function<void(std::uint32_t)>& coordinate,
@@ -415,7 +322,7 @@ inline void ft_sym_drive(Comm& comm, SymWal& wal, const FaultConfig& fault,
   while (coord != self) {
     Message cmd;
     try {
-      cmd = comm.recv(coord, kFtTagSymCmd);
+      cmd = comm.recv(coord, kFtTagCmd);
     } catch (const CorruptMessage& e) {
       // A command this rank cannot decode means it cannot follow the
       // protocol any more: fail the rank and let the coordinator reassign.
@@ -434,8 +341,8 @@ inline void ft_sym_drive(Comm& comm, SymWal& wal, const FaultConfig& fault,
       coord = next;
       continue;
     }
-    if (!detail::ft_serve(comm, cmd, coord, kFtTagSymRec, last_seq,
-                          scan_and_pack, unpack_state)) {
+    if (!detail::ft_serve(comm, cmd, coord, last_seq, scan_and_pack,
+                          unpack_state)) {
       return;
     }
   }
@@ -476,7 +383,7 @@ inline void ft_sym_drive(Comm& comm, SymWal& wal, const FaultConfig& fault,
     if (r == self || !live[static_cast<std::size_t>(r)]) continue;
     Message done;
     done.pack(kFtCmdDone);
-    comm.send(r, kFtTagSymCmd, std::move(done));
+    comm.send(r, kFtTagCmd, std::move(done));
   }
 }
 

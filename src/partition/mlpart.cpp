@@ -473,7 +473,7 @@ void apply_sides(const StepRegions& s,
   }
 }
 
-// Worker-side cache of shipped scan inputs, keyed by (phase, partition).
+// Serving-side cache of shipped scan inputs, keyed by (phase, partition).
 // Overwritten on every (re)delivered command, so replayed rounds always
 // scan the state the coordinator just shipped.
 struct FtScanState {
@@ -492,7 +492,7 @@ struct FtScanState {
 ParallelPartitionResult partition_hierarchy_parallel_ft(
     const GraphHierarchy& h, PartId k, const PartitionerConfig& config,
     int nranks, mpr::CostModel cost, const mpr::FaultPlan& fault_plan,
-    const mpr::FaultConfig& fault, bool symmetric) {
+    const mpr::FaultConfig& fault) {
   const Graph& finest = h.finest();
   const std::uint32_t nsteps = bisection_steps(k);
   const auto depth = static_cast<std::uint32_t>(h.depth());
@@ -511,7 +511,7 @@ ParallelPartitionResult partition_hierarchy_parallel_ft(
     }
   };
 
-  // Worker-side hooks: consume shipped state, then scan from it.
+  // Serving-side hooks: consume shipped state, then scan from it.
   const auto make_unpack_state = [&](FtScanState& state) {
     return [&, nsteps](std::uint32_t phase, std::uint32_t p,
                        mpr::Message& cmd) {
@@ -554,7 +554,7 @@ ParallelPartitionResult partition_hierarchy_parallel_ft(
     };
   };
 
-  // Coordinator-side per-phase pieces (shared by both protocols).
+  // Coordinator-side per-phase pieces.
   const auto bisect_scan_one = [&](const StepRegions& regs, std::uint32_t s) {
     return [&, s](std::uint32_t p, double* work) {
       return bisect_region(finest, regs.regions[p], config,
@@ -600,144 +600,94 @@ ParallelPartitionResult partition_hierarchy_parallel_ft(
     comm.charge(lift_work);
   };
 
-  if (symmetric) {
-    mpr::SymWal wal;
-    wal.live.assign(static_cast<std::size_t>(nranks), 1);
-    out.stats = mpr::Runtime::execute(
-        nranks,
-        [&](mpr::Comm& comm) {
-          FtScanState state;
-          mpr::ft_sym_drive(
-              comm, wal, fault, make_scan_and_pack(state),
-              [&](std::uint32_t phase_start) {
-                // Rebuild the labels: committed bisection steps are replayed
-                // from the log (a successor inherits them), the rest are
-                // collected live and committed one entry per step.
-                std::vector<PartId> part(finest.node_count(), 0);
-                PartId current_parts = 1;
-                const std::uint32_t done =
-                    std::min(phase_start, nsteps);
-                for (std::uint32_t s = 0; s < nsteps; ++s) {
-                  const StepRegions regs =
-                      step_regions(finest, part, current_parts);
-                  std::vector<std::vector<std::uint8_t>> sides;
-                  if (s < done) {
-                    mpr::Message payload;
-                    {
-                      std::lock_guard<std::mutex> lock(wal.mu);
-                      payload = wal.entries[s].payload;
-                    }
-                    sides.resize(static_cast<std::size_t>(current_parts));
-                    for (auto& side : sides) side = unpack_side(payload);
-                    FOCUS_CHECK(payload.fully_consumed(),
-                                "trailing bytes in bisection log entry");
-                  } else {
-                    sides = mpr::sym_collect_phase<std::vector<std::uint8_t>>(
-                        comm, wal, static_cast<std::uint32_t>(current_parts),
-                        s, fault, bisect_scan_one(regs, s), unpack_side,
-                        mpr::FtOrder::kAscending, bisect_pack_state(regs));
-                    mpr::SymWal::Entry entry;
-                    for (const auto& side : sides) {
-                      entry.payload.pack_vector(side);
-                    }
-                    entry.counts.assign(1, sides.size());
-                    mpr::sym_wal_commit(comm, wal, std::move(entry));
-                  }
-                  apply_sides(regs, sides, current_parts, part);
-                  current_parts *= 2;
-                }
-
-                // Lift is recomputed deterministically by whichever rank
-                // coordinates — cheaper than logging every level.
-                charge_lift(comm);
-                auto levels = lift_partition(h, part, k);
-
-                if (config.kway_refinement) {
-                  bool committed = false;
-                  {
-                    std::lock_guard<std::mutex> lock(wal.mu);
-                    committed = wal.entries.size() > nsteps;
-                  }
-                  if (!committed) {
-                    auto refined = mpr::sym_collect_phase<std::vector<PartId>>(
-                        comm, wal, depth, nsteps, fault,
-                        refine_scan_one(levels), unpack_level,
-                        mpr::FtOrder::kAscending, refine_pack_state(levels));
-                    mpr::SymWal::Entry entry;
-                    for (const auto& labels : refined) {
-                      entry.payload.pack_vector(labels);
-                    }
-                    entry.counts.assign(1, refined.size());
-                    mpr::sym_wal_commit(comm, wal, std::move(entry));
-                  }
-                  // Publish from the durable record — identical whether this
-                  // rank refined the levels itself or inherited them.
-                  mpr::Message payload;
-                  {
-                    std::lock_guard<std::mutex> lock(wal.mu);
-                    payload = wal.entries[nsteps].payload;
-                  }
-                  for (std::uint32_t l = 0; l < depth; ++l) {
-                    levels[l] = payload.unpack_vector<PartId>();
-                    validate_level(l, levels[l]);
-                  }
-                  FOCUS_CHECK(payload.fully_consumed(),
-                              "trailing bytes in refinement log entry");
-                }
-
-                out.partitioning.levels = std::move(levels);
-                out.partitioning.finest_cut =
-                    edge_cut(finest, out.partitioning.levels[0]);
-              },
-              make_unpack_state(state));
-        },
-        cost, fault_plan);
-    return out;
-  }
-
+  mpr::SymWal wal;
+  wal.live.assign(static_cast<std::size_t>(nranks), 1);
   out.stats = mpr::Runtime::execute(
       nranks,
       [&](mpr::Comm& comm) {
-        if (comm.rank() == 0) {
-          mpr::FtMasterState st;
-          st.live.assign(static_cast<std::size_t>(comm.size()), 1);
+        FtScanState state;
+        mpr::ft_sym_drive(
+            comm, wal, fault, make_scan_and_pack(state),
+            [&](std::uint32_t phase_start) {
+              // Rebuild the labels: committed bisection steps are replayed
+              // from the log (a successor inherits them), the rest are
+              // collected live and committed one entry per step.
+              std::vector<PartId> part(finest.node_count(), 0);
+              PartId current_parts = 1;
+              const std::uint32_t done = std::min(phase_start, nsteps);
+              for (std::uint32_t s = 0; s < nsteps; ++s) {
+                const StepRegions regs =
+                    step_regions(finest, part, current_parts);
+                std::vector<std::vector<std::uint8_t>> sides;
+                if (s < done) {
+                  mpr::Message payload;
+                  {
+                    std::lock_guard<std::mutex> lock(wal.mu);
+                    payload = wal.entries[s].payload;
+                  }
+                  sides.resize(static_cast<std::size_t>(current_parts));
+                  for (auto& side : sides) side = unpack_side(payload);
+                  FOCUS_CHECK(payload.fully_consumed(),
+                              "trailing bytes in bisection log entry");
+                } else {
+                  sides = mpr::sym_collect_phase<std::vector<std::uint8_t>>(
+                      comm, wal, static_cast<std::uint32_t>(current_parts),
+                      s, fault, bisect_scan_one(regs, s), unpack_side,
+                      mpr::FtOrder::kAscending, bisect_pack_state(regs));
+                  mpr::SymWal::Entry entry;
+                  for (const auto& side : sides) {
+                    entry.payload.pack_vector(side);
+                  }
+                  entry.counts.assign(1, sides.size());
+                  mpr::sym_wal_commit(comm, wal, std::move(entry));
+                }
+                apply_sides(regs, sides, current_parts, part);
+                current_parts *= 2;
+              }
 
-          std::vector<PartId> part(finest.node_count(), 0);
-          PartId current_parts = 1;
-          for (std::uint32_t s = 0; s < nsteps; ++s) {
-            const StepRegions regs = step_regions(finest, part, current_parts);
-            const auto sides =
-                mpr::ft_collect_phase<std::vector<std::uint8_t>>(
-                    comm, st, static_cast<std::uint32_t>(current_parts), s,
-                    fault, bisect_scan_one(regs, s), unpack_side,
-                    mpr::FtOrder::kAscending, bisect_pack_state(regs));
-            apply_sides(regs, sides, current_parts, part);
-            current_parts *= 2;
-          }
+              // Lift is recomputed deterministically by whichever rank
+              // coordinates — cheaper than logging every level.
+              charge_lift(comm);
+              auto levels = lift_partition(h, part, k);
 
-          charge_lift(comm);
-          auto levels = lift_partition(h, part, k);
+              if (config.kway_refinement) {
+                bool committed = false;
+                {
+                  std::lock_guard<std::mutex> lock(wal.mu);
+                  committed = wal.entries.size() > nsteps;
+                }
+                if (!committed) {
+                  auto refined = mpr::sym_collect_phase<std::vector<PartId>>(
+                      comm, wal, depth, nsteps, fault,
+                      refine_scan_one(levels), unpack_level,
+                      mpr::FtOrder::kAscending, refine_pack_state(levels));
+                  mpr::SymWal::Entry entry;
+                  for (const auto& labels : refined) {
+                    entry.payload.pack_vector(labels);
+                  }
+                  entry.counts.assign(1, refined.size());
+                  mpr::sym_wal_commit(comm, wal, std::move(entry));
+                }
+                // Publish from the durable record — identical whether this
+                // rank refined the levels itself or inherited them.
+                mpr::Message payload;
+                {
+                  std::lock_guard<std::mutex> lock(wal.mu);
+                  payload = wal.entries[nsteps].payload;
+                }
+                for (std::uint32_t l = 0; l < depth; ++l) {
+                  levels[l] = payload.unpack_vector<PartId>();
+                  validate_level(l, levels[l]);
+                }
+                FOCUS_CHECK(payload.fully_consumed(),
+                            "trailing bytes in refinement log entry");
+              }
 
-          if (config.kway_refinement) {
-            auto refined = mpr::ft_collect_phase<std::vector<PartId>>(
-                comm, st, depth, nsteps, fault, refine_scan_one(levels),
-                unpack_level, mpr::FtOrder::kAscending,
-                refine_pack_state(levels));
-            for (std::uint32_t l = 0; l < depth; ++l) {
-              validate_level(l, refined[l]);
-              levels[l] = std::move(refined[l]);
-            }
-          }
-
-          out.partitioning.levels = std::move(levels);
-          out.partitioning.finest_cut =
-              edge_cut(finest, out.partitioning.levels[0]);
-          mpr::ft_shutdown_workers(comm, st);
-        } else {
-          FtScanState state;
-          mpr::ft_worker_loop(comm, make_scan_and_pack(state),
-                              make_unpack_state(state));
-        }
+              out.partitioning.levels = std::move(levels);
+              out.partitioning.finest_cut =
+                  edge_cut(finest, out.partitioning.levels[0]);
+            },
+            make_unpack_state(state));
       },
       cost, fault_plan);
   return out;
@@ -748,14 +698,15 @@ ParallelPartitionResult partition_hierarchy_parallel_ft(
 ParallelPartitionResult partition_hierarchy_parallel(
     const GraphHierarchy& h, PartId k, const PartitionerConfig& config,
     int nranks, mpr::CostModel cost, const mpr::FaultPlan& fault_plan,
-    const mpr::FaultConfig& fault, bool symmetric) {
+    const mpr::FaultConfig& fault,
+    bool /*symmetric*/) {  // Unused: every plan runs one recovery driver.
   check_k(k);
   FOCUS_CHECK(nranks >= 1, "need at least one rank");
   const Graph& finest = h.finest();
 
   if (!fault_plan.empty()) {
     return partition_hierarchy_parallel_ft(h, k, config, nranks, cost,
-                                           fault_plan, fault, symmetric);
+                                           fault_plan, fault);
   }
 
   ParallelPartitionResult out;

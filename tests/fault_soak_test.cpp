@@ -1,10 +1,11 @@
 // Whole-pipeline chaos soak (ctest label: soak): the full FocusAssembler —
 // preprocess, distributed-index overlap, coarsen, hybrid, partition,
 // simplify, traverse — run under crash sweeps and mixed-fault storms
-// (crashes, drops, duplicates, corruption, delays), across both wire
-// protocols and both graph-store backends. Every run must recover the
-// byte-identical fault-free assembly, and same-seed runs must produce
-// bit-identical RunStats. The heavier sweep lives in bench/bench_fault_soak
+// (crashes, drops, duplicates, corruption, delays), across both graph-store
+// backends. Every faulted stage runs the one recovery driver whatever the
+// wire-protocol setting. Every run must recover the byte-identical
+// fault-free assembly, and same-seed runs must produce bit-identical
+// RunStats under either setting. The heavier sweep lives in bench/bench_fault_soak
 // (BENCH_fault_soak.json); this suite is the CI-sized core of it.
 #include <gtest/gtest.h>
 
@@ -109,20 +110,16 @@ mpr::FaultPlan storm_plan(std::uint64_t seed) {
 }
 
 // 50 seeds of mixed message faults through the full pipeline, spread over
-// protocol × backend so every combination sees storms.
+// both backends.
 TEST(FaultSoak, FiftySeedStormsRecoverByteIdenticalAssembly) {
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
-    const auto protocol = (seed % 2 == 0) ? dist::DistProtocol::kMaster
-                                          : dist::DistProtocol::kSymmetric;
     const auto backend = (seed % 4 < 2) ? graph::GraphStoreBackend::kInMemory
                                         : graph::GraphStoreBackend::kCsrSpill;
-    FocusConfig cfg = soak_config(protocol, backend);
+    FocusConfig cfg = soak_config(dist::DistProtocol::kSymmetric, backend);
     cfg.fault_plan = storm_plan(seed);
     const auto got = assemble_reads(soak_dataset().data.reads, cfg);
     expect_same_assembly(
         got, "seed " + std::to_string(seed) +
-                 (protocol == dist::DistProtocol::kSymmetric ? " symmetric"
-                                                             : " master") +
                  (backend == graph::GraphStoreBackend::kCsrSpill
                       ? " csr-spill"
                       : " memory"));
@@ -131,13 +128,12 @@ TEST(FaultSoak, FiftySeedStormsRecoverByteIdenticalAssembly) {
 
 // Crash one rank at a sweep of op positions — the pipeline runs many
 // Runtime::execute sessions, so early ops hit preprocess and overlap while
-// later ones land in partition/simplify/traverse.
+// later ones land in partition/simplify/traverse. Rank 0 is crashed under
+// both settings: a fault plan runs the rotating coordinator either way.
 TEST(FaultSoak, CrashSweepThroughPipelineRecovers) {
   for (const auto protocol :
        {dist::DistProtocol::kMaster, dist::DistProtocol::kSymmetric}) {
-    // The master protocol cannot lose rank 0; the symmetric one can.
-    const Rank first_victim = protocol == dist::DistProtocol::kMaster ? 1 : 0;
-    for (Rank victim = first_victim; victim < 3; ++victim) {
+    for (Rank victim = 0; victim < 3; ++victim) {
       for (std::uint64_t op = 1; op <= 8; op += 1) {
         FocusConfig cfg =
             soak_config(protocol, graph::GraphStoreBackend::kInMemory);
@@ -154,18 +150,21 @@ TEST(FaultSoak, CrashSweepThroughPipelineRecovers) {
   }
 }
 
-// Same seed, same config => bit-identical virtual-time accounting, down to
-// the RunStats of every recovered stage, under both protocols.
+// Same seed => bit-identical virtual-time accounting, down to the RunStats
+// of every recovered stage. The protocol setting only picks fault-free
+// bodies, so the master-setting run must equal the symmetric-setting runs.
 TEST(FaultSoak, SameSeedStormIsBitIdentical) {
-  for (const auto protocol :
-       {dist::DistProtocol::kMaster, dist::DistProtocol::kSymmetric}) {
+  FocusConfig master =
+      soak_config(dist::DistProtocol::kMaster,
+                  graph::GraphStoreBackend::kInMemory);
+  master.fault_plan = storm_plan(7);
+  FocusConfig symmetric = master;
+  symmetric.dist.protocol = dist::DistProtocol::kSymmetric;
+  const auto a = assemble_reads(soak_dataset().data.reads, symmetric);
+  for (const FocusConfig* cfg : {&symmetric, &master}) {
     const std::string ctx =
-        protocol == dist::DistProtocol::kSymmetric ? "symmetric" : "master";
-    FocusConfig cfg =
-        soak_config(protocol, graph::GraphStoreBackend::kInMemory);
-    cfg.fault_plan = storm_plan(7);
-    const auto a = assemble_reads(soak_dataset().data.reads, cfg);
-    const auto b = assemble_reads(soak_dataset().data.reads, cfg);
+        cfg == &master ? "master setting" : "symmetric setting";
+    const auto b = assemble_reads(soak_dataset().data.reads, *cfg);
     ASSERT_EQ(a.contigs, b.contigs) << ctx;
     expect_same_run(a.preprocess_run, b.preprocess_run, ctx + " preprocess");
     expect_same_run(a.align_run, b.align_run, ctx + " align");

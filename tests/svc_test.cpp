@@ -345,6 +345,33 @@ TEST(StageCache, KeysChainThroughTheStages) {
   EXPECT_FALSE(envelope.cache_hits.preprocess);
   EXPECT_FALSE(envelope.cache_hits.overlaps);
   EXPECT_FALSE(envelope.cache_hits.coarsen);
+
+  // The wire protocol is not part of any key: preprocess, overlap and
+  // coarsen run the same code under either setting, so a flipped protocol
+  // hits all three artifacts and the cached RunStats equal a fresh run's.
+  core::FocusConfig flipped = cfg;
+  flipped.dist.protocol = cfg.dist.protocol == dist::DistProtocol::kMaster
+                              ? dist::DistProtocol::kSymmetric
+                              : dist::DistProtocol::kMaster;
+  const auto hit = core::FocusAssembler(flipped)
+                       .assemble(tiny_dataset().data.reads, &cache);
+  EXPECT_TRUE(hit.cache_hits.preprocess);
+  EXPECT_TRUE(hit.cache_hits.overlaps);
+  EXPECT_TRUE(hit.cache_hits.coarsen);
+  const auto fresh =
+      core::FocusAssembler(flipped).assemble(tiny_dataset().data.reads);
+  for (const auto& [got, want] :
+       {std::pair{&hit.preprocess_run, &fresh.preprocess_run},
+        std::pair{&hit.align_run, &fresh.align_run}}) {
+    EXPECT_EQ(got->makespan, want->makespan);
+    EXPECT_EQ(got->rank_vtime, want->rank_vtime);
+    EXPECT_EQ(got->messages, want->messages);
+    EXPECT_EQ(got->bytes, want->bytes);
+    EXPECT_EQ(got->retries, want->retries);
+    EXPECT_EQ(got->ranks_failed, want->ranks_failed);
+    EXPECT_EQ(got->recovery_vtime, want->recovery_vtime);
+  }
+  expect_identical_assembly(hit, fresh);
 }
 
 TEST(JobScheduler, RepeatSubmissionServedFromCache) {
