@@ -9,11 +9,12 @@
 // falls steeply with more partitions; traversal is fast and roughly flat.
 //
 // Beyond the paper's table, the driver records a modeled_dist_scaling
-// section: virtual-time makespans of the legacy master/worker protocol vs
-// the symmetric owner-computes protocol (DESIGN.md §7b) at 1/2/4/8/16 mpr
-// ranks over a fixed 32-way partitioning. Wall clocks on this single-core
-// host are flat across rank counts by construction — the vtime task model is
-// what exposes the scaling. At every sweep point the symmetric run is
+// section: virtual-time trimming makespans of the legacy master/worker
+// protocol vs the symmetric owner-computes protocol (DESIGN.md §7b), plus the
+// traversal makespan (one fault-free body under either protocol), at
+// 1/2/4/8/16 mpr ranks over a fixed 32-way partitioning. Wall clocks on a
+// single-core host are flat across rank counts by construction — the vtime
+// task model is what exposes the scaling. At every sweep point the symmetric run is
 // checked byte-identical to the master run (graph, stats, paths) before its
 // timing is reported; exit status is nonzero if any check fails, so the
 // smoke invocation doubles as a ctest (label: perf-smoke). Default output:
@@ -61,7 +62,6 @@ struct ScalingPoint {
   double master_trim = 0.0;
   double master_traverse = 0.0;
   double sym_trim = 0.0;
-  double sym_traverse = 0.0;
 };
 
 }  // namespace
@@ -138,9 +138,9 @@ int main(int argc, char** argv) {
   print_header(
       "Modeled protocol scaling — master vs symmetric owner-computes "
       "(32 partitions, vtime makespan)");
-  const std::vector<int> swidths{10, 8, 13, 9, 13, 9, 14, 9, 14, 9};
+  const std::vector<int> swidths{10, 8, 13, 9, 13, 9, 14, 9};
   print_row({"Dataset", "Ranks", "M trim", "spdup", "S trim", "spdup",
-             "M traverse", "spdup", "S traverse", "spdup"},
+             "Traverse", "spdup"},
             swidths);
 
   std::vector<std::vector<ScalingPoint>> scaling(bundles.size());
@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
                                   nranks, {}, 1, {}, {}, master_cfg);
       const auto m_trav =
           dist::traverse_parallel(m.graph, parts.finest(), scaling_parts,
-                                  nranks, {}, 1, {}, {}, master_cfg);
+                                  nranks);
       pt.master_trim = m_trim.run.makespan;
       pt.master_traverse = m_trav.run.makespan;
 
@@ -171,9 +171,8 @@ int main(int argc, char** argv) {
                                   nranks, {}, 1, {}, {}, sym_cfg);
       const auto s_trav =
           dist::traverse_parallel(s.graph, parts.finest(), scaling_parts,
-                                  nranks, {}, 1, {}, {}, sym_cfg);
+                                  nranks);
       pt.sym_trim = s_trim.run.makespan;
-      pt.sym_traverse = s_trav.run.makespan;
 
       // Identity gate: the symmetric protocol must reproduce the master
       // run's simplified graph, counters and traversal paths at this exact
@@ -187,9 +186,7 @@ int main(int argc, char** argv) {
                  fmt(pt.master_trim, 5), fmt(base.master_trim / pt.master_trim, 2) + "x",
                  fmt(pt.sym_trim, 5), fmt(base.sym_trim / pt.sym_trim, 2) + "x",
                  fmt(pt.master_traverse, 5),
-                 fmt(base.master_traverse / pt.master_traverse, 2) + "x",
-                 fmt(pt.sym_traverse, 5),
-                 fmt(base.sym_traverse / pt.sym_traverse, 2) + "x"},
+                 fmt(base.master_traverse / pt.master_traverse, 2) + "x"},
                 swidths);
       scaling[d].push_back(pt);
     }
@@ -223,13 +220,10 @@ int main(int argc, char** argv) {
           "      {\"ranks\": %d, \"master_trim_makespan\": %.9f, "
           "\"master_trim_speedup\": %.3f, \"sym_trim_makespan\": %.9f, "
           "\"sym_trim_speedup\": %.3f, \"master_traverse_makespan\": %.9f, "
-          "\"master_traverse_speedup\": %.3f, "
-          "\"sym_traverse_makespan\": %.9f, "
-          "\"sym_traverse_speedup\": %.3f}%s\n",
+          "\"master_traverse_speedup\": %.3f}%s\n",
           pt.ranks, pt.master_trim, base.master_trim / pt.master_trim,
           pt.sym_trim, base.sym_trim / pt.sym_trim, pt.master_traverse,
-          base.master_traverse / pt.master_traverse, pt.sym_traverse,
-          base.sym_traverse / pt.sym_traverse,
+          base.master_traverse / pt.master_traverse,
           i + 1 < scaling[d].size() ? "," : "");
     }
     std::fprintf(f, "    ]}%s\n", d + 1 < scaling.size() ? "," : "");

@@ -439,10 +439,8 @@ TEST_P(StoredGraphRankSweep, ParallelKernelsMatchInMemoryBackend) {
     EXPECT_EQ(got.run.makespan, want.run.makespan) << context;
     EXPECT_EQ(got.run.messages, want.run.messages) << context;
 
-    const auto want_t =
-        dist::traverse_parallel(g, part, parts, nranks, {}, 1, {}, {}, *proto);
-    const auto got_t = dist::traverse_parallel(store, part, parts, nranks, {},
-                                               1, {}, {}, *proto);
+    const auto want_t = dist::traverse_parallel(g, part, parts, nranks);
+    const auto got_t = dist::traverse_parallel(store, part, parts, nranks);
     ASSERT_EQ(got_t.paths, want_t.paths) << context;
     EXPECT_EQ(got_t.run.makespan, want_t.run.makespan) << context;
     EXPECT_GT(store.spill_stats().loads, 0u) << context;
