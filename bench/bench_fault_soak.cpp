@@ -3,7 +3,7 @@
 // op sweeps and seeded mixed-fault storms (crash / drop / duplicate /
 // corrupt / delay), across rank counts and graph-store backends. Every
 // faulted stage runs the one recovery driver (the rotating coordinator over
-// a replicated write-ahead log), whatever the wire-protocol setting.
+// a replicated write-ahead log).
 // csr-spill runs also arm the spill manager's nth-write disk fault, so
 // message recovery and disk-write recovery fire in the same run.
 //
@@ -54,7 +54,6 @@ core::FocusConfig soak_config(int ranks, graph::GraphStoreBackend backend) {
   cfg.fault_plan = mpr::FaultPlan{};
   cfg.fault = mpr::FaultConfig{};
   cfg.fault.max_retries = 32;
-  cfg.dist.protocol = dist::DistProtocol::kSymmetric;
   cfg.graph_store = graph::GraphStoreConfig{};
   cfg.graph_store.backend = backend;
   return cfg;
@@ -82,12 +81,11 @@ struct Expected {
 
 /// Fault-free reference at one rank count. Traversal output is a function
 /// of the rank count (subpath gather order feeds the greedy join), so each
-/// rank count gets its own oracle; protocols and backends remain
-/// output-equivalent at a fixed rank count, so the paper's master protocol
-/// serves as the oracle of the recovery driver.
+/// rank count gets its own oracle; drivers and backends remain
+/// output-equivalent at a fixed rank count, so the fault-free master
+/// driver serves as the oracle of the recovery driver.
 Expected make_oracle(const io::ReadSet& raw, int ranks) {
   auto cfg = soak_config(ranks, graph::GraphStoreBackend::kInMemory);
-  cfg.dist.protocol = dist::DistProtocol::kMaster;
   const auto result = core::assemble_reads(raw, cfg);
   Expected e;
   e.contigs = result.contigs;

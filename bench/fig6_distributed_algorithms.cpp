@@ -9,19 +9,18 @@
 // falls steeply with more partitions; traversal is fast and roughly flat.
 //
 // Beyond the paper's table, the driver records a modeled_dist_scaling
-// section: virtual-time trimming makespans of the legacy master/worker
-// protocol vs the symmetric owner-computes protocol (DESIGN.md §7b), plus the
-// traversal makespan (one fault-free body under either protocol), at
-// 1/2/4/8/16 mpr ranks over a fixed 32-way partitioning. Wall clocks on a
-// single-core host are flat across rank counts by construction — the vtime
-// task model is what exposes the scaling. At every sweep point the symmetric run is
-// checked byte-identical to the master run (graph, stats, paths) before its
-// timing is reported; exit status is nonzero if any check fails, so the
-// smoke invocation doubles as a ctest (label: perf-smoke). Default output:
-// BENCH_dist_scaling.json.
+// section: virtual-time trimming and traversal makespans of the fault-free
+// master/worker drivers at 1/2/4/8/16 mpr ranks over a fixed 32-way
+// partitioning. Wall clocks are not what this section measures — the vtime
+// task model is what exposes the scaling. At every sweep point the recovery
+// driver (DESIGN.md §7b), run under a plan that injects nothing, is checked
+// byte-identical to the master run (graph, stats, paths); exit status is
+// nonzero if any check fails, so the smoke invocation doubles as a ctest
+// (label: perf-smoke). Default output: BENCH_dist_scaling.json.
 #include "bench_common.hpp"
 
 #include <cstring>
+#include <limits>
 
 #include "dist/parallel.hpp"
 #include "partition/mlpart.hpp"
@@ -61,7 +60,6 @@ struct ScalingPoint {
   int ranks = 0;
   double master_trim = 0.0;
   double master_traverse = 0.0;
-  double sym_trim = 0.0;
 };
 
 }  // namespace
@@ -80,7 +78,7 @@ int main(int argc, char** argv) {
   }
   if (smoke) {
     // Tiny deterministic dataset so the perf-smoke ctest exercises every
-    // code path (both protocols, all rank counts) in seconds.
+    // code path (both drivers, all rank counts) in seconds.
     ::setenv("FOCUS_BENCH_SCALE", "0.15", 1);
     ::setenv("FOCUS_BENCH_COVERAGE", "6.0", 1);
   }
@@ -128,19 +126,19 @@ int main(int argc, char** argv) {
       "partitions (near-linear in workers); traversal needs very little time\n"
       "and stays roughly constant.\n");
 
-  // --- modeled_dist_scaling: master vs symmetric protocol over mpr ranks ---
-  const dist::DistConfig master_cfg{dist::DistProtocol::kMaster};
-  const dist::DistConfig sym_cfg{dist::DistProtocol::kSymmetric};
+  // --- modeled_dist_scaling: the master drivers over mpr ranks ---
+  // A crash point past every op: it injects nothing, but a non-empty plan
+  // runs the recovery driver, whose output gates each sweep point.
+  mpr::FaultPlan idle_plan;
+  idle_plan.crashes.push_back({0, std::numeric_limits<std::uint64_t>::max()});
   const PartId scaling_parts = 32;
   const std::vector<int> rank_sweep{1, 2, 4, 8, 16};
   bool all_identical = true;
 
   print_header(
-      "Modeled protocol scaling — master vs symmetric owner-computes "
-      "(32 partitions, vtime makespan)");
-  const std::vector<int> swidths{10, 8, 13, 9, 13, 9, 14, 9};
-  print_row({"Dataset", "Ranks", "M trim", "spdup", "S trim", "spdup",
-             "Traverse", "spdup"},
+      "Modeled master/worker scaling (32 partitions, vtime makespan)");
+  const std::vector<int> swidths{10, 8, 13, 9, 14, 9};
+  print_row({"Dataset", "Ranks", "Trim", "spdup", "Traverse", "spdup"},
             swidths);
 
   std::vector<std::vector<ScalingPoint>> scaling(bundles.size());
@@ -156,9 +154,8 @@ int main(int argc, char** argv) {
       dist::SimplifyConfig scfg;
 
       auto m = build_asm(b);
-      const auto m_trim =
-          dist::simplify_parallel(m.graph, parts.finest(), scaling_parts, scfg,
-                                  nranks, {}, 1, {}, {}, master_cfg);
+      const auto m_trim = dist::simplify_parallel(
+          m.graph, parts.finest(), scaling_parts, scfg, nranks);
       const auto m_trav =
           dist::traverse_parallel(m.graph, parts.finest(), scaling_parts,
                                   nranks);
@@ -168,23 +165,22 @@ int main(int argc, char** argv) {
       auto s = build_asm(b);
       const auto s_trim =
           dist::simplify_parallel(s.graph, parts.finest(), scaling_parts, scfg,
-                                  nranks, {}, 1, {}, {}, sym_cfg);
+                                  nranks, {}, 1, idle_plan);
       const auto s_trav =
           dist::traverse_parallel(s.graph, parts.finest(), scaling_parts,
-                                  nranks);
-      pt.sym_trim = s_trim.run.makespan;
+                                  nranks, {}, 1, idle_plan);
 
-      // Identity gate: the symmetric protocol must reproduce the master
-      // run's simplified graph, counters and traversal paths at this exact
-      // rank count before its timing counts.
+      // Identity gate: the recovery driver must reproduce the master run's
+      // simplified graph, counters and traversal paths at this exact rank
+      // count.
       all_identical &= same_asm_graph(s.graph, m.graph);
       all_identical &= same_simplify_stats(s_trim.stats, m_trim.stats);
       all_identical &= s_trav.paths == m_trav.paths;
 
       const auto& base = scaling[d].empty() ? pt : scaling[d].front();
       print_row({b.dataset.name, std::to_string(nranks),
-                 fmt(pt.master_trim, 5), fmt(base.master_trim / pt.master_trim, 2) + "x",
-                 fmt(pt.sym_trim, 5), fmt(base.sym_trim / pt.sym_trim, 2) + "x",
+                 fmt(pt.master_trim, 5),
+                 fmt(base.master_trim / pt.master_trim, 2) + "x",
                  fmt(pt.master_traverse, 5),
                  fmt(base.master_traverse / pt.master_traverse, 2) + "x"},
                 swidths);
@@ -192,7 +188,7 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  std::printf("symmetric output identical to master at every sweep point: %s\n",
+  std::printf("recovery output identical to master at every sweep point: %s\n",
               all_identical ? "yes" : "NO (BUG)");
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
@@ -218,12 +214,10 @@ int main(int argc, char** argv) {
       std::fprintf(
           f,
           "      {\"ranks\": %d, \"master_trim_makespan\": %.9f, "
-          "\"master_trim_speedup\": %.3f, \"sym_trim_makespan\": %.9f, "
-          "\"sym_trim_speedup\": %.3f, \"master_traverse_makespan\": %.9f, "
+          "\"master_trim_speedup\": %.3f, \"master_traverse_makespan\": %.9f, "
           "\"master_traverse_speedup\": %.3f}%s\n",
           pt.ranks, pt.master_trim, base.master_trim / pt.master_trim,
-          pt.sym_trim, base.sym_trim / pt.sym_trim, pt.master_traverse,
-          base.master_traverse / pt.master_traverse,
+          pt.master_traverse, base.master_traverse / pt.master_traverse,
           i + 1 < scaling[d].size() ? "," : "");
     }
     std::fprintf(f, "    ]}%s\n", d + 1 < scaling.size() ? "," : "");

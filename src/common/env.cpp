@@ -23,7 +23,6 @@ EnvSnapshot EnvSnapshot::capture() {
   EnvSnapshot s;
   s.threads = read("FOCUS_THREADS");
   s.seed_strategy = read("FOCUS_SEED_STRATEGY");
-  s.dist_protocol = read("FOCUS_DIST_PROTOCOL");
   s.graph_backend = read("FOCUS_GRAPH_BACKEND");
   s.graph_mem_budget = read("FOCUS_GRAPH_MEM_BUDGET");
   s.graph_spill_dir = read("FOCUS_GRAPH_SPILL_DIR");

@@ -32,7 +32,6 @@ struct EnvSnapshot {
   // domains can keep their documented ""-means-default behaviour.
   std::optional<std::string> threads;             // FOCUS_THREADS
   std::optional<std::string> seed_strategy;       // FOCUS_SEED_STRATEGY
-  std::optional<std::string> dist_protocol;       // FOCUS_DIST_PROTOCOL
   std::optional<std::string> graph_backend;       // FOCUS_GRAPH_BACKEND
   std::optional<std::string> graph_mem_budget;    // FOCUS_GRAPH_MEM_BUDGET
   std::optional<std::string> graph_spill_dir;     // FOCUS_GRAPH_SPILL_DIR

@@ -22,7 +22,6 @@ FocusConfig::FocusConfig(const EnvSnapshot& env)
     : overlap{.strategy = align::seed_strategy_from_env(env)},
       fault_plan(mpr::FaultPlan::from_env(env)),
       fault(mpr::FaultConfig::from_env(env)),
-      dist{dist::dist_protocol_from_env(env)},
       graph_store(graph::GraphStoreConfig::from_env(env)) {
   // Bake the auto thread width now so no pipeline stage consults the
   // environment later: a mid-run setenv("FOCUS_THREADS") has no effect on an

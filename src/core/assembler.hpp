@@ -32,10 +32,10 @@ struct FocusConfig {
   /// pipeline (OPERATIONS.md, "Environment snapshot").
   FocusConfig() : FocusConfig(EnvSnapshot::capture()) {}
 
-  /// Derives the env-defaulted knobs (overlap.strategy, dist.protocol,
-  /// graph_store, fault_plan, fault, auto thread widths) from an
-  /// already-captured snapshot. Pass a default-constructed-from-fields
-  /// snapshot (EnvSnapshot{}) for a fully environment-independent config.
+  /// Derives the env-defaulted knobs (overlap.strategy, graph_store,
+  /// fault_plan, fault, auto thread widths) from an already-captured
+  /// snapshot. Pass a default-constructed-from-fields snapshot
+  /// (EnvSnapshot{}) for a fully environment-independent config.
   explicit FocusConfig(const EnvSnapshot& env);
 
   io::PreprocessConfig preprocess;
@@ -60,8 +60,7 @@ struct FocusConfig {
   /// Retry bound and receive deadline for fault recovery. Defaults honor
   /// FOCUS_FAULT_MAX_RETRIES / FOCUS_FAULT_RECV_TIMEOUT.
   mpr::FaultConfig fault;
-  /// Wire protocol of the fault-tolerant stages (all of the above). Defaults
-  /// to the FOCUS_DIST_PROTOCOL environment selection; see dist::DistProtocol.
+  /// perfbench-pinned: read by perfbench only; no stage consults it.
   dist::DistConfig dist;
   /// Storage backend of the assembly-graph stages (6 and 7). Defaults to the
   /// FOCUS_GRAPH_BACKEND environment selection. kCsrSpill builds the

@@ -16,9 +16,7 @@ constexpr std::uint64_t kCoarsenTag = 0x464f435553503331ull;
 /// Everything about *how* a stage runs that leaks into its recorded stats:
 /// rank count, cost-model constants, the fault schedule and recovery knobs.
 /// Outputs are invariant to these (the determinism tests prove it), but
-/// RunStats are not, and a hit must reproduce both. The wire protocol is
-/// not part of it: preprocess, overlap and coarsen run the same code under
-/// either setting (a fault plan runs the one recovery driver).
+/// RunStats are not, and a hit must reproduce both.
 void absorb_envelope(common::Hasher& h, const FocusConfig& c) {
   h.u64(static_cast<std::uint64_t>(c.ranks));
   h.f64(c.cost.alpha).f64(c.cost.beta).f64(c.cost.gamma);

@@ -15,13 +15,12 @@
 //
 // Key schema (see stage_cache.cpp): every key chains the upstream artifact's
 // key with this stage's config fingerprint AND the execution envelope
-// (ranks, cost model, fault plan/config). The wire protocol is left out: the
-// cached stages run the same code under either setting. Stage *outputs* are
-// byte-identical across ranks, but the recorded RunStats
-// (makespans, message counts, recovery counters) are not — and a cache hit
-// must reproduce the exact AssemblyResult a fresh run would produce, stats
-// included. Keying on the envelope keeps that property at the cost of some
-// hit rate; determinism outranks reuse.
+// (ranks, cost model, fault plan/config). Stage *outputs* are byte-identical
+// across ranks, but the recorded RunStats (makespans, message counts,
+// recovery counters) are not — and a cache hit must reproduce the exact
+// AssemblyResult a fresh run would produce, stats included. Keying on the
+// envelope keeps that property at the cost of some hit rate; determinism
+// outranks reuse.
 //
 // Note on the k-mer index: the overlap stage's indices (per-subset hashed
 // postings, or the mpr-sharded index) are transients of the stage — rebuilt

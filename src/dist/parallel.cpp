@@ -2,140 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 #include <mutex>
-#include <optional>
-#include <string_view>
+#include <type_traits>
 
-#include "align/banded_nw.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "dist/stored_graph.hpp"
 #include "io/preprocess.hpp"
 #include "mpr/ft_phase.hpp"
-#include "mpr/rounds.hpp"
 
 namespace focus::dist {
-
-DistProtocol dist_protocol_from_env() {
-  return dist_protocol_from_env(EnvSnapshot::capture());
-}
-
-DistProtocol dist_protocol_from_env(const EnvSnapshot& env) {
-  // Symmetric is the default as of PR 9: it is makespan-balanced (LPT over
-  // measured scan estimates) and survives coordinator death, at the price of
-  // the WAL replication charge. `master` remains selectable as the §V paper
-  // baseline and fallback.
-  if (!env.dist_protocol.has_value() || env.dist_protocol->empty()) {
-    return DistProtocol::kSymmetric;
-  }
-  const std::string_view v(*env.dist_protocol);
-  if (v == "master") return DistProtocol::kMaster;
-  if (v == "symmetric") return DistProtocol::kSymmetric;
-  FOCUS_THROW("FOCUS_DIST_PROTOCOL must be 'master' or 'symmetric', got '" +
-              std::string(v) + "'");
-}
 
 namespace {
 
 /// Below this the chunked gather costs more than the serial scan.
 constexpr std::size_t kParallelGatherMinNodes = 4096;
 constexpr std::size_t kGatherGrain = 4096;
-
-bool mine(std::size_t partition, const mpr::Comm& comm) {
-  return static_cast<int>(partition %
-                          static_cast<std::size_t>(comm.size())) ==
-         comm.rank();
-}
-
-// ---------------------------------------------------------------------------
-// Symmetric owner-computes protocol: partition ownership.
-//
-// The master protocol assigns partition p to rank p % nranks, which balances
-// partition *counts* but not scan *work* — measured per-partition scan costs
-// vary by an order of magnitude, so the makespan is set by whichever rank
-// drew the heaviest partitions. The fault-free symmetric simplify instead
-// LPT-schedules partitions onto ranks by an estimated scan cost: sort them by
-// estimate descending and greedily give each to the least-loaded rank. The
-// assignment only moves *scans*; record routing and apply order are keyed by
-// node/edge ownership, so the outputs are placement-independent.
-// ---------------------------------------------------------------------------
-
-/// Host-side estimate of each partition's simplify scan cost, mirroring the
-/// dominant work terms the kernels charge: the phase-0 (mid, far) pair count
-/// and the phase-1 banded-alignment work per out-edge. Accumulates the
-/// estimator's own cost into `estimator_work` (each rank is charged for it:
-/// in a real deployment every rank computes the schedule redundantly from
-/// replicated partition metadata).
-template <class GraphT>
-std::vector<double> simplify_scan_estimates(
-    const GraphT& g, const std::vector<std::vector<NodeId>>& nodes,
-    const SimplifyConfig& config, double* estimator_work) {
-  std::vector<double> est(nodes.size(), 0.0);
-  for (std::size_t p = 0; p < nodes.size(); ++p) {
-    for (const NodeId v : nodes[p]) {
-      if (!g.node_live(v)) continue;
-      const auto out = g.live_out(v);
-      est[p] += 1.0;
-      if (estimator_work != nullptr) {
-        *estimator_work += 1.0 + static_cast<double>(out.size());
-      }
-      const std::size_t cv_size = g.contig_size(v);
-      for (const EdgeId e : out) {
-        if (out.size() >= 2) {
-          est[p] += static_cast<double>(g.live_out_degree(g.edge(e).to));
-        }
-        const std::size_t offset = g.edge(e).offset;
-        if (offset < cv_size) {
-          const std::size_t window =
-              std::min(cv_size - offset, g.contig_size(g.edge(e).to));
-          est[p] += align::banded_align_work(window, window, config.band);
-        }
-      }
-    }
-  }
-  return est;
-}
-
-/// Longest-processing-time-first assignment: owner[p] = rank that scans
-/// partition p. Deterministic: ties broken by (estimate, partition id) on the
-/// job side and (load, rank) on the machine side.
-std::vector<int> lpt_assign(const std::vector<double>& est, int nranks) {
-  std::vector<std::size_t> order(est.size());
-  for (std::size_t p = 0; p < order.size(); ++p) order[p] = p;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (est[a] != est[b]) return est[a] > est[b];
-    return a < b;
-  });
-  std::vector<double> load(static_cast<std::size_t>(nranks), 0.0);
-  std::vector<int> owner(est.size(), 0);
-  for (const std::size_t p : order) {
-    int best = 0;
-    for (int r = 1; r < nranks; ++r) {
-      if (load[static_cast<std::size_t>(r)] <
-          load[static_cast<std::size_t>(best)]) {
-        best = r;
-      }
-    }
-    owner[p] = best;
-    load[static_cast<std::size_t>(best)] += est[p];
-  }
-  return owner;
-}
-
-/// Partitions owned by each rank, ascending — the symmetric scan order.
-std::vector<std::vector<std::uint32_t>> owned_partitions(
-    const std::vector<int>& owner, int nranks) {
-  std::vector<std::vector<std::uint32_t>> owned(
-      static_cast<std::size_t>(nranks));
-  for (std::size_t p = 0; p < owner.size(); ++p) {
-    owned[static_cast<std::size_t>(owner[p])].push_back(
-        static_cast<std::uint32_t>(p));
-  }
-  return owned;
-}
 
 }  // namespace
 
@@ -178,278 +61,214 @@ std::vector<std::vector<NodeId>> partition_node_lists(
 }
 
 // ---------------------------------------------------------------------------
-// Fault recovery (DESIGN.md §7 / §7b). The phase machinery — command/record
-// framing, dead-rank reassignment, round replay, the rotating-coordinator
-// WAL — lives in mpr/ft_phase.hpp, shared by every covered pipeline stage;
-// the graph drivers here supply only the per-phase scan/unpack/apply bodies.
+// Drivers (DESIGN.md §7 / §7b). Each collected phase runs under one of two
+// drivers from mpr/ft_phase.hpp: an empty fault plan runs the §V master
+// gather (gather_phase), any other plan the rotating coordinator over a
+// replicated write-ahead log (ft_sym_drive, sym_collect_phase). Both merge
+// the records in the same rank-major order, so both apply the same change
+// sequence. The graph drivers here supply each phase's scan, record codec
+// and apply, once.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 using mpr::SymWal;
-using mpr::ft_sym_drive;
-using mpr::sym_collect_phase;
-using mpr::sym_wal_commit;
+using Subpaths = std::vector<std::vector<NodeId>>;
 
-// ---------------------------------------------------------------------------
-// Symmetric owner-computes protocol, fault-free fast path (DESIGN.md §7b).
-//
-// No rank is special: every rank scans the partitions LPT-assigned to it and
-// applies deltas for the nodes and edges it *owns* (a node belongs to the
-// owner of its partition; a recorded edge belongs to the rank that scanned
-// its source node — partitions are disjoint, so each edge record has exactly
-// one recorder). Cross-owner deltas — containment absorptions, tip and
-// bubble node kills landing in another rank's partition — travel in one
-// batched mpr::exchange_deltas round per phase and are applied by their
-// owner in ascending source-rank order after a sort-unique, which is the
-// same dedup the master performs globally: ownership classes are disjoint,
-// so per-owner sorted-unique apply produces the identical graph and counts.
-// ---------------------------------------------------------------------------
-
-constexpr int kTagSymContained = 215;
-constexpr int kTagSymTips = 216;
-constexpr int kTagSymBubbles = 217;
-
-template <class GraphT>
-void simplify_symmetric_rank(mpr::Comm& comm, GraphT& g,
-                             const std::vector<std::vector<NodeId>>& nodes,
-                             std::span<const PartId> part,
-                             const SimplifyConfig& config,
-                             const std::vector<int>& owner,
-                             const std::vector<std::vector<std::uint32_t>>& owned,
-                             double estimator_work, SimplifyStats* stats) {
-  const int size = comm.size();
-  const auto& own = owned[static_cast<std::size_t>(comm.rank())];
-  // Every rank computes the LPT schedule redundantly from replicated
-  // partition metadata; charge that once up front.
-  comm.charge(estimator_work);
-  SimplifyStats my;
-
-  const auto owner_of_node = [&](NodeId v) {
-    return static_cast<std::size_t>(owner[static_cast<std::size_t>(part[v])]);
-  };
-
-  {  // Phase 0: transitive reduction. Every record's edge leaves a scanned
-     // node, so deltas are self-owned and no exchange is needed — the
-     // barrier pair orders all scans before any apply and all applies
-     // before the next phase's scans.
-    TransitiveScratch scratch;
-    std::vector<EdgeId> records;
-    double work = 0.0;
-    for (const std::uint32_t p : own) {
-      auto found = find_transitive_edges(g, nodes[p], scratch, &work);
-      records.insert(records.end(), found.begin(), found.end());
-    }
-    comm.charge(work);
-    comm.barrier();
-    comm.charge(static_cast<double>(records.size()));
-    my.transitive_edges = apply_edge_removals(g, std::move(records));
-    comm.barrier();
+/// Record codec: the one wire layout of each record type, shared by the
+/// fault-free gather, the serving ranks' frames, the coordinator's collect
+/// and the log payload. The primary template covers vectors of
+/// trivially-copyable records.
+template <class Rec>
+struct Codec {
+  static void pack(mpr::Message& m, const Rec& r) { m.pack_vector(r); }
+  static Rec unpack(mpr::Message& m) {
+    return m.unpack_vector<typename Rec::value_type>();
   }
-
-  {  // Phase 1: containment removal + edge verification. Verified and false
-     // edges are self-owned (they leave a scanned node); contained nodes can
-     // land in another rank's partition and are routed to their owner.
-    ContainmentFindings records;
-    double work = 0.0;
-    for (const std::uint32_t p : own) {
-      auto found = find_containments(g, nodes[p], config, &work);
-      records.verified.insert(records.verified.end(), found.verified.begin(),
-                              found.verified.end());
-      records.false_edges.insert(records.false_edges.end(),
-                                 found.false_edges.begin(),
-                                 found.false_edges.end());
-      records.contained_nodes.insert(records.contained_nodes.end(),
-                                     found.contained_nodes.begin(),
-                                     found.contained_nodes.end());
-    }
-    comm.charge(work);
-    std::vector<std::vector<NodeId>> buckets(static_cast<std::size_t>(size));
-    for (const NodeId w : records.contained_nodes) {
-      buckets[owner_of_node(w)].push_back(w);
-    }
-    auto contained =
-        mpr::exchange_deltas<NodeId>(comm, buckets, kTagSymContained);
-    comm.charge(static_cast<double>(records.verified.size() +
-                                    records.false_edges.size() +
-                                    contained.size()));
-    my.verified_edges = apply_verifications(g, records.verified);
-    my.false_edges = apply_edge_removals(g, std::move(records.false_edges));
-    my.contained_nodes = apply_node_removals(g, std::move(contained));
-    comm.barrier();
+  static void append(Rec& all, Rec r) {
+    all.insert(all.end(), r.begin(), r.end());
   }
+};
 
-  {  // Phase 2: dead-end trimming. Chains may cross partitions, so every
-     // node kill is routed to its owner.
-    std::vector<NodeId> records;
-    double work = 0.0;
-    for (const std::uint32_t p : own) {
-      auto found = find_tips(g, nodes[p], config, &work);
-      records.insert(records.end(), found.begin(), found.end());
-    }
-    comm.charge(work);
-    std::vector<std::vector<NodeId>> buckets(static_cast<std::size_t>(size));
-    for (const NodeId v : records) buckets[owner_of_node(v)].push_back(v);
-    auto arrived = mpr::exchange_deltas<NodeId>(comm, buckets, kTagSymTips);
-    comm.charge(static_cast<double>(arrived.size()));
-    my.tip_nodes = apply_node_removals(g, std::move(arrived));
-    comm.barrier();
+template <>
+struct Codec<ContainmentFindings> {
+  static void pack(mpr::Message& m, const ContainmentFindings& r) {
+    m.pack_vector(r.verified);
+    m.pack_vector(r.false_edges);
+    m.pack_vector(r.contained_nodes);
   }
+  static ContainmentFindings unpack(mpr::Message& m) {
+    ContainmentFindings f;
+    f.verified = m.unpack_vector<EdgeVerification>();
+    f.false_edges = m.unpack_vector<EdgeId>();
+    f.contained_nodes = m.unpack_vector<NodeId>();
+    return f;
+  }
+  static void append(ContainmentFindings& all, ContainmentFindings r) {
+    Codec<std::vector<EdgeVerification>>::append(all.verified,
+                                                 std::move(r.verified));
+    Codec<std::vector<EdgeId>>::append(all.false_edges,
+                                       std::move(r.false_edges));
+    Codec<std::vector<NodeId>>::append(all.contained_nodes,
+                                       std::move(r.contained_nodes));
+  }
+};
 
-  {  // Phase 3: bubble popping — same routing as tips.
-    std::vector<NodeId> records;
-    double work = 0.0;
-    for (const std::uint32_t p : own) {
-      auto found = find_bubbles(g, nodes[p], config, &work);
-      records.insert(records.end(), found.begin(), found.end());
-    }
-    comm.charge(work);
-    std::vector<std::vector<NodeId>> buckets(static_cast<std::size_t>(size));
-    for (const NodeId v : records) buckets[owner_of_node(v)].push_back(v);
-    auto arrived = mpr::exchange_deltas<NodeId>(comm, buckets, kTagSymBubbles);
-    comm.charge(static_cast<double>(arrived.size()));
-    my.bubble_nodes = apply_node_removals(g, std::move(arrived));
-    comm.barrier();
+template <>
+struct Codec<Subpaths> {
+  static void pack(mpr::Message& m, const Subpaths& s) {
+    m.pack(static_cast<std::uint32_t>(s.size()));
+    for (const auto& path : s) m.pack_vector(path);
   }
+  static Subpaths unpack(mpr::Message& m) {
+    Subpaths s;
+    for (auto n = m.unpack<std::uint32_t>(); n > 0; --n) {
+      s.push_back(m.unpack_vector<NodeId>());
+    }
+    return s;
+  }
+  static void append(Subpaths& all, Subpaths r) {
+    for (auto& path : r) all.push_back(std::move(path));
+  }
+};
 
-  // Counter reduction: ownership classes are disjoint, so the global counts
-  // are the plain sums of the per-rank counts.
-  mpr::Message msg;
-  msg.pack(static_cast<std::uint64_t>(my.transitive_edges));
-  msg.pack(static_cast<std::uint64_t>(my.false_edges));
-  msg.pack(static_cast<std::uint64_t>(my.contained_nodes));
-  msg.pack(static_cast<std::uint64_t>(my.verified_edges));
-  msg.pack(static_cast<std::uint64_t>(my.tip_nodes));
-  msg.pack(static_cast<std::uint64_t>(my.bubble_nodes));
-  auto gathered = comm.gather(std::move(msg), 0);
-  if (comm.rank() == 0) {
-    SimplifyStats total;
-    for (auto& m : gathered) {
-      total.transitive_edges += m.unpack<std::uint64_t>();
-      total.false_edges += m.unpack<std::uint64_t>();
-      total.contained_nodes += m.unpack<std::uint64_t>();
-      total.verified_edges += m.unpack<std::uint64_t>();
-      total.tip_nodes += m.unpack<std::uint64_t>();
-      total.bubble_nodes += m.unpack<std::uint64_t>();
-      FOCUS_CHECK(m.fully_consumed(), "trailing bytes in stats frame");
-    }
-    *stats = total;
-  }
-  comm.barrier();
+/// Fault-free phase: gather_phase over a codec-described record.
+template <class Rec>
+void gather_records(mpr::Comm& comm, PartId nparts,
+                    const std::function<Rec(std::uint32_t, double*)>& scan,
+                    const std::function<void(Rec)>& apply) {
+  mpr::gather_phase<Rec>(comm, static_cast<std::uint32_t>(nparts), scan,
+                         &Codec<Rec>::unpack, &Codec<Rec>::pack,
+                         &Codec<Rec>::append, apply);
 }
 
-// ---------------------------------------------------------------------------
-// Fault-tolerant drivers (DESIGN.md §7b): rotating coordinator over a
-// replicated write-ahead log, whatever `dist.protocol` says.
-//
-// Coordination is a *role*, not a rank: whichever live rank currently
-// coordinates runs the same collect/apply loop the §V master would, but commits
-// each completed phase — the canonical record payload plus the resulting
-// counters — to a write-ahead log that models replicated stable storage
-// (appends charge the writer one per-live-replica message). When the
-// coordinator dies, every surviving rank walks the succession order
-// (ascending rank, skipping ranks it has proven dead) and the lowest live
-// rank takes over: it fast-forwards through the log's completed phases and
-// resumes collection at the first uncommitted phase. Applies sit strictly
-// between communication operations, so a crash can never leave a phase
-// half-applied: the graph state always equals exactly the committed log.
-// ---------------------------------------------------------------------------
+/// Recovery-driver phase: the coordinator's collect, merged into one record.
+template <class Rec>
+Rec collect_records(mpr::Comm& comm, SymWal& wal, PartId nparts,
+                    std::uint32_t phase, const mpr::FaultConfig& fault,
+                    const std::function<Rec(std::uint32_t, double*)>& scan) {
+  Rec all;
+  for (auto& r : mpr::sym_collect_phase<Rec>(
+           comm, wal, static_cast<std::uint32_t>(nparts), phase, fault, scan,
+           &Codec<Rec>::unpack)) {
+    Codec<Rec>::append(all, std::move(r));
+  }
+  return all;
+}
 
-/// Coordinator body of the fault-tolerant symmetric simplify: the
-/// master-protocol phases, but each phase ends with a durable log commit and
-/// the loop starts wherever the inherited log ends. The final counters are a
-/// pure function of the log, so any coordinator — original, successor, or a
-/// late orphan finding a complete log — reports the same stats.
+/// The committed payload of the log's first entry.
+mpr::Message first_entry_payload(SymWal& wal) {
+  std::lock_guard<std::mutex> lock(wal.mu);
+  return wal.entries.front().payload;
+}
+
+/// One simplify phase: `scan(p, work)` records partition p's changes without
+/// touching the graph; `apply(comm, all, stats)` charges one unit per merged
+/// record, applies them and sets the phase's SimplifyStats fields.
+template <class Scan, class Apply>
+struct Phase {
+  using Rec = std::invoke_result_t<Scan&, std::uint32_t, double*>;
+  Scan scan;
+  Apply apply;
+};
+
+constexpr std::uint32_t kSimplifyPhases = 4;
+
+/// The simplify phases (§V-A–C), each described once. visit(i, f) calls f
+/// with phase i; the fault-free gather, the recovery coordinator and the
+/// serving ranks all reach the phases through it. One instance per rank:
+/// the transitive scan keeps its marks in the instance's scratch.
 template <class GraphT>
-void sym_simplify_coordinate(mpr::Comm& comm, SymWal& wal, GraphT& g,
-                             const std::vector<std::vector<NodeId>>& nodes,
-                             const SimplifyConfig& config, PartId nparts,
+class SimplifyPhases {
+ public:
+  SimplifyPhases(GraphT& g, const std::vector<std::vector<NodeId>>& nodes,
+                 const SimplifyConfig& config)
+      : g_(g), nodes_(nodes), config_(config) {}
+
+  template <class F>
+  void visit(std::uint32_t phase, F&& f) {
+    switch (phase) {
+      case 0:  // Transitive reduction (§V-A).
+        f(Phase{[this](std::uint32_t p, double* work) {
+                  return find_transitive_edges(g_, nodes_[p], scratch_, work);
+                },
+                [this](mpr::Comm& comm, std::vector<EdgeId> all,
+                       SimplifyStats& s) {
+                  comm.charge(static_cast<double>(all.size()));
+                  s.transitive_edges = apply_edge_removals(g_, std::move(all));
+                }});
+        return;
+      case 1:  // Containment removal and edge verification (§V-B).
+        f(Phase{[this](std::uint32_t p, double* work) {
+                  return find_containments(g_, nodes_[p], config_, work);
+                },
+                [this](mpr::Comm& comm, ContainmentFindings all,
+                       SimplifyStats& s) {
+                  comm.charge(static_cast<double>(all.verified.size() +
+                                                  all.false_edges.size() +
+                                                  all.contained_nodes.size()));
+                  s.verified_edges = apply_verifications(g_, all.verified);
+                  s.false_edges =
+                      apply_edge_removals(g_, std::move(all.false_edges));
+                  s.contained_nodes =
+                      apply_node_removals(g_, std::move(all.contained_nodes));
+                }});
+        return;
+      case 2:  // Dead-end trimming (§V-C).
+        f(Phase{[this](std::uint32_t p, double* work) {
+                  return find_tips(g_, nodes_[p], config_, work);
+                },
+                [this](mpr::Comm& comm, std::vector<NodeId> all,
+                       SimplifyStats& s) {
+                  comm.charge(static_cast<double>(all.size()));
+                  s.tip_nodes = apply_node_removals(g_, std::move(all));
+                }});
+        return;
+      case 3:  // Bubble popping (§V-C).
+        f(Phase{[this](std::uint32_t p, double* work) {
+                  return find_bubbles(g_, nodes_[p], config_, work);
+                },
+                [this](mpr::Comm& comm, std::vector<NodeId> all,
+                       SimplifyStats& s) {
+                  comm.charge(static_cast<double>(all.size()));
+                  s.bubble_nodes = apply_node_removals(g_, std::move(all));
+                }});
+        return;
+      default:
+        FOCUS_THROW("unknown simplify phase");
+    }
+  }
+
+ private:
+  GraphT& g_;
+  const std::vector<std::vector<NodeId>>& nodes_;
+  const SimplifyConfig& config_;
+  TransitiveScratch scratch_;
+};
+
+/// Coordinator body of the recovery simplify: each phase ends with a durable
+/// log commit, and the loop starts wherever the inherited log ends. The
+/// final counters are a pure function of the log, so any coordinator —
+/// original, successor, or a late orphan finding a complete log — reports
+/// the same stats.
+template <class GraphT>
+void sym_simplify_coordinate(mpr::Comm& comm, SymWal& wal,
+                             SimplifyPhases<GraphT>& phases, PartId nparts,
                              const mpr::FaultConfig& fault,
                              std::uint32_t phase_start, SimplifyStats* stats) {
-  TransitiveScratch scratch;
-  for (std::uint32_t phase = phase_start; phase < 4; ++phase) {
-    SymWal::Entry entry;
-    entry.counts.assign(6, 0);  // SimplifyStats field order
-    switch (phase) {
-      case 0: {  // Transitive reduction (§V-A).
-        auto recs = sym_collect_phase<std::vector<EdgeId>>(
-            comm, wal, nparts, phase, fault,
-            [&](std::uint32_t p, double* work) {
-              return find_transitive_edges(g, nodes[p], scratch, work);
-            },
-            [](mpr::Message& m) { return m.unpack_vector<EdgeId>(); });
-        std::vector<EdgeId> all;
-        for (auto& r : recs) all.insert(all.end(), r.begin(), r.end());
-        comm.charge(static_cast<double>(all.size()));
-        entry.payload.pack_vector(all);
-        entry.counts[0] = apply_edge_removals(g, std::move(all));
-        break;
-      }
-      case 1: {  // Containment removal + edge verification (§V-B).
-        auto recs = sym_collect_phase<ContainmentFindings>(
-            comm, wal, nparts, phase, fault,
-            [&](std::uint32_t p, double* work) {
-              return find_containments(g, nodes[p], config, work);
-            },
-            [](mpr::Message& m) {
-              ContainmentFindings f;
-              f.verified = m.unpack_vector<EdgeVerification>();
-              f.false_edges = m.unpack_vector<EdgeId>();
-              f.contained_nodes = m.unpack_vector<NodeId>();
-              return f;
-            });
-        ContainmentFindings all;
-        for (auto& r : recs) {
-          all.verified.insert(all.verified.end(), r.verified.begin(),
-                              r.verified.end());
-          all.false_edges.insert(all.false_edges.end(), r.false_edges.begin(),
-                                 r.false_edges.end());
-          all.contained_nodes.insert(all.contained_nodes.end(),
-                                     r.contained_nodes.begin(),
-                                     r.contained_nodes.end());
-        }
-        comm.charge(static_cast<double>(all.verified.size() +
-                                        all.false_edges.size() +
-                                        all.contained_nodes.size()));
-        entry.payload.pack_vector(all.verified);
-        entry.payload.pack_vector(all.false_edges);
-        entry.payload.pack_vector(all.contained_nodes);
-        entry.counts[3] = apply_verifications(g, all.verified);
-        entry.counts[1] = apply_edge_removals(g, std::move(all.false_edges));
-        entry.counts[2] =
-            apply_node_removals(g, std::move(all.contained_nodes));
-        break;
-      }
-      case 2: {  // Dead-end trimming (§V-C).
-        auto recs = sym_collect_phase<std::vector<NodeId>>(
-            comm, wal, nparts, phase, fault,
-            [&](std::uint32_t p, double* work) {
-              return find_tips(g, nodes[p], config, work);
-            },
-            [](mpr::Message& m) { return m.unpack_vector<NodeId>(); });
-        std::vector<NodeId> all;
-        for (auto& r : recs) all.insert(all.end(), r.begin(), r.end());
-        comm.charge(static_cast<double>(all.size()));
-        entry.payload.pack_vector(all);
-        entry.counts[4] = apply_node_removals(g, std::move(all));
-        break;
-      }
-      default: {  // Phase 3: bubble popping (§V-C).
-        auto recs = sym_collect_phase<std::vector<NodeId>>(
-            comm, wal, nparts, phase, fault,
-            [&](std::uint32_t p, double* work) {
-              return find_bubbles(g, nodes[p], config, work);
-            },
-            [](mpr::Message& m) { return m.unpack_vector<NodeId>(); });
-        std::vector<NodeId> all;
-        for (auto& r : recs) all.insert(all.end(), r.begin(), r.end());
-        comm.charge(static_cast<double>(all.size()));
-        entry.payload.pack_vector(all);
-        entry.counts[5] = apply_node_removals(g, std::move(all));
-        break;
-      }
-    }
-    sym_wal_commit(comm, wal, std::move(entry));
+  for (std::uint32_t i = phase_start; i < kSimplifyPhases; ++i) {
+    phases.visit(i, [&](auto ph) {
+      using Rec = typename decltype(ph)::Rec;
+      Rec all = collect_records<Rec>(comm, wal, nparts, i, fault, ph.scan);
+      SymWal::Entry entry;
+      Codec<Rec>::pack(entry.payload, all);
+      SimplifyStats delta;
+      ph.apply(comm, std::move(all), delta);
+      entry.counts = {delta.transitive_edges, delta.false_edges,
+                      delta.contained_nodes,  delta.verified_edges,
+                      delta.tip_nodes,        delta.bubble_nodes};
+      mpr::sym_wal_commit(comm, wal, std::move(entry));
+    });
   }
 
   SimplifyStats total;
@@ -467,53 +286,6 @@ void sym_simplify_coordinate(mpr::Comm& comm, SymWal& wal, GraphT& g,
   *stats = total;
 }
 
-template <class GraphT>
-ParallelSimplifyResult ft_sym_simplify(
-    GraphT& g, const std::vector<std::vector<NodeId>>& nodes, PartId nparts,
-    const SimplifyConfig& config, int nranks, mpr::CostModel cost,
-    const mpr::FaultPlan& fault_plan, const mpr::FaultConfig& fault) {
-  ParallelSimplifyResult out;
-  SymWal wal;
-  wal.live.assign(static_cast<std::size_t>(nranks), 1);
-  out.run = mpr::Runtime::execute(
-      nranks,
-      [&](mpr::Comm& comm) {
-        TransitiveScratch scratch;
-        ft_sym_drive(
-            comm, wal, fault,
-            [&](std::uint32_t phase, std::uint32_t p, mpr::Message& frame,
-                double* work) {
-              switch (phase) {
-                case 0:
-                  frame.pack_vector(
-                      find_transitive_edges(g, nodes[p], scratch, work));
-                  break;
-                case 1: {
-                  const auto f = find_containments(g, nodes[p], config, work);
-                  frame.pack_vector(f.verified);
-                  frame.pack_vector(f.false_edges);
-                  frame.pack_vector(f.contained_nodes);
-                  break;
-                }
-                case 2:
-                  frame.pack_vector(find_tips(g, nodes[p], config, work));
-                  break;
-                case 3:
-                  frame.pack_vector(find_bubbles(g, nodes[p], config, work));
-                  break;
-                default:
-                  FOCUS_THROW("unknown simplify phase in scan command");
-              }
-            },
-            [&](std::uint32_t phase_start) {
-              sym_simplify_coordinate(comm, wal, g, nodes, config, nparts,
-                                      fault, phase_start, &out.stats);
-            });
-      },
-      cost, fault_plan);
-  return out;
-}
-
 }  // namespace
 
 template <class GraphT>
@@ -525,249 +297,75 @@ ParallelSimplifyResult simplify_parallel(GraphT& g,
                                          unsigned threads,
                                          const mpr::FaultPlan& fault_plan,
                                          const mpr::FaultConfig& fault,
-                                         const DistConfig& dist) {
+                                         // perfbench-pinned; unused.
+                                         const DistConfig& /*dist*/) {
   FOCUS_CHECK(part.size() == g.node_count(), "partition size mismatch");
   const auto nodes = partition_node_lists(part, nparts, threads);
 
-  if (!fault_plan.empty()) {
-    return ft_sym_simplify(g, nodes, nparts, config, nranks, cost, fault_plan,
-                           fault);
-  }
-
   ParallelSimplifyResult out;
-
-  if (dist.protocol == DistProtocol::kSymmetric) {
-    double estimator_work = 0.0;
-    const auto est = simplify_scan_estimates(g, nodes, config, &estimator_work);
-    const auto owner = lpt_assign(est, nranks);
-    const auto owned = owned_partitions(owner, nranks);
+  if (fault_plan.empty()) {
     out.run = mpr::Runtime::execute(
         nranks,
         [&](mpr::Comm& comm) {
-          simplify_symmetric_rank(comm, g, nodes, part, config, owner, owned,
-                                  estimator_work, &out.stats);
+          SimplifyPhases<GraphT> phases(g, nodes, config);
+          for (std::uint32_t i = 0; i < kSimplifyPhases; ++i) {
+            phases.visit(i, [&](auto ph) {
+              using Rec = typename decltype(ph)::Rec;
+              gather_records<Rec>(comm, nparts, ph.scan, [&](Rec all) {
+                ph.apply(comm, std::move(all), out.stats);
+              });
+            });
+          }
         },
         cost);
     return out;
   }
 
-  out.run = mpr::Runtime::execute(
-      nranks,
-      [&](mpr::Comm& comm) {
-        // --- Phase 1: transitive reduction (§V-A). -------------------------
-        {
-          std::vector<EdgeId> records;
-          TransitiveScratch scratch;
-          double work = 0.0;
-          for (std::size_t p = 0; p < nodes.size(); ++p) {
-            if (!mine(p, comm)) continue;
-            auto found = find_transitive_edges(g, nodes[p], scratch, &work);
-            records.insert(records.end(), found.begin(), found.end());
-          }
-          comm.charge(work);
-          mpr::Message msg;
-          msg.pack_vector(records);
-          auto gathered = comm.gather(std::move(msg), 0);
-          if (comm.rank() == 0) {
-            std::vector<EdgeId> all;
-            for (auto& m : gathered) {
-              auto v = m.unpack_vector<EdgeId>();
-              FOCUS_CHECK(m.fully_consumed(), "trailing bytes in phase frame");
-              all.insert(all.end(), v.begin(), v.end());
-            }
-            comm.charge(static_cast<double>(all.size()));
-            out.stats.transitive_edges = apply_edge_removals(g, std::move(all));
-          }
-          comm.barrier();
-        }
-
-        // --- Phase 2: containment removal + edge verification (§V-B). ------
-        {
-          ContainmentFindings records;
-          double work = 0.0;
-          for (std::size_t p = 0; p < nodes.size(); ++p) {
-            if (!mine(p, comm)) continue;
-            auto found = find_containments(g, nodes[p], config, &work);
-            records.verified.insert(records.verified.end(),
-                                    found.verified.begin(),
-                                    found.verified.end());
-            records.false_edges.insert(records.false_edges.end(),
-                                       found.false_edges.begin(),
-                                       found.false_edges.end());
-            records.contained_nodes.insert(records.contained_nodes.end(),
-                                           found.contained_nodes.begin(),
-                                           found.contained_nodes.end());
-          }
-          comm.charge(work);
-          mpr::Message msg;
-          msg.pack_vector(records.verified);
-          msg.pack_vector(records.false_edges);
-          msg.pack_vector(records.contained_nodes);
-          auto gathered = comm.gather(std::move(msg), 0);
-          if (comm.rank() == 0) {
-            ContainmentFindings all;
-            for (auto& m : gathered) {
-              auto verified = m.unpack_vector<EdgeVerification>();
-              auto false_edges = m.unpack_vector<EdgeId>();
-              auto contained = m.unpack_vector<NodeId>();
-              FOCUS_CHECK(m.fully_consumed(), "trailing bytes in phase frame");
-              all.verified.insert(all.verified.end(), verified.begin(),
-                                  verified.end());
-              all.false_edges.insert(all.false_edges.end(),
-                                     false_edges.begin(), false_edges.end());
-              all.contained_nodes.insert(all.contained_nodes.end(),
-                                         contained.begin(), contained.end());
-            }
-            comm.charge(static_cast<double>(
-                all.verified.size() + all.false_edges.size() +
-                all.contained_nodes.size()));
-            out.stats.verified_edges = apply_verifications(g, all.verified);
-            out.stats.false_edges =
-                apply_edge_removals(g, std::move(all.false_edges));
-            out.stats.contained_nodes =
-                apply_node_removals(g, std::move(all.contained_nodes));
-          }
-          comm.barrier();
-        }
-
-        // --- Phase 3: dead-end trimming (§V-C). -----------------------------
-        {
-          std::vector<NodeId> records;
-          double work = 0.0;
-          for (std::size_t p = 0; p < nodes.size(); ++p) {
-            if (!mine(p, comm)) continue;
-            auto found = find_tips(g, nodes[p], config, &work);
-            records.insert(records.end(), found.begin(), found.end());
-          }
-          comm.charge(work);
-          mpr::Message msg;
-          msg.pack_vector(records);
-          auto gathered = comm.gather(std::move(msg), 0);
-          if (comm.rank() == 0) {
-            std::vector<NodeId> all;
-            for (auto& m : gathered) {
-              auto v = m.unpack_vector<NodeId>();
-              FOCUS_CHECK(m.fully_consumed(), "trailing bytes in phase frame");
-              all.insert(all.end(), v.begin(), v.end());
-            }
-            comm.charge(static_cast<double>(all.size()));
-            out.stats.tip_nodes = apply_node_removals(g, std::move(all));
-          }
-          comm.barrier();
-        }
-
-        // --- Phase 4: bubble popping (§V-C). --------------------------------
-        {
-          std::vector<NodeId> records;
-          double work = 0.0;
-          for (std::size_t p = 0; p < nodes.size(); ++p) {
-            if (!mine(p, comm)) continue;
-            auto found = find_bubbles(g, nodes[p], config, &work);
-            records.insert(records.end(), found.begin(), found.end());
-          }
-          comm.charge(work);
-          mpr::Message msg;
-          msg.pack_vector(records);
-          auto gathered = comm.gather(std::move(msg), 0);
-          if (comm.rank() == 0) {
-            std::vector<NodeId> all;
-            for (auto& m : gathered) {
-              auto v = m.unpack_vector<NodeId>();
-              FOCUS_CHECK(m.fully_consumed(), "trailing bytes in phase frame");
-              all.insert(all.end(), v.begin(), v.end());
-            }
-            comm.charge(static_cast<double>(all.size()));
-            out.stats.bubble_nodes = apply_node_removals(g, std::move(all));
-          }
-          comm.barrier();
-        }
-      },
-      cost);
-  return out;
-}
-
-namespace {
-
-using Subpaths = std::vector<std::vector<NodeId>>;
-
-/// Coordinator body of the fault-tolerant traverse: one collected phase
-/// committed to the log, then joining from the durable record — which is
-/// identical whether this rank collected the sub-paths itself or inherited
-/// them from a crashed predecessor.
-template <class GraphT>
-void sym_traverse_coordinate(mpr::Comm& comm, SymWal& wal, const GraphT& g,
-                             const std::vector<std::vector<NodeId>>& nodes,
-                             std::span<const PartId> part, PartId nparts,
-                             const mpr::FaultConfig& fault,
-                             std::uint32_t phase_start, Subpaths* paths) {
-  if (phase_start == 0) {
-    std::vector<bool> visited(g.node_count(), false);
-    auto recs = sym_collect_phase<Subpaths>(
-        comm, wal, nparts, 0, fault,
-        [&](std::uint32_t p, double* work) {
-          auto found = extract_subpaths(g, nodes[p], part, visited, work);
-          clear_visited(found, visited);
-          return found;
-        },
-        [](mpr::Message& m) {
-          Subpaths s(m.unpack<std::uint32_t>());
-          for (auto& path : s) path = m.unpack_vector<NodeId>();
-          return s;
-        });
-    SymWal::Entry entry;
-    std::uint32_t count = 0;
-    for (const auto& r : recs) count += static_cast<std::uint32_t>(r.size());
-    entry.payload.pack(count);
-    for (const auto& r : recs) {
-      for (const auto& path : r) entry.payload.pack_vector(path);
-    }
-    sym_wal_commit(comm, wal, std::move(entry));
-  }
-
-  mpr::Message payload;
-  {
-    std::lock_guard<std::mutex> lock(wal.mu);
-    payload = wal.entries.front().payload;
-  }
-  Subpaths all(payload.unpack<std::uint32_t>());
-  for (auto& path : all) path = payload.unpack_vector<NodeId>();
-  FOCUS_CHECK(payload.fully_consumed(), "trailing bytes in sub-path log");
-  double join_work = 0.0;
-  *paths = join_subpaths(g, std::move(all), &join_work);
-  comm.charge(join_work);
-}
-
-template <class GraphT>
-ParallelTraverseResult ft_sym_traverse(
-    const GraphT& g, const std::vector<std::vector<NodeId>>& nodes,
-    std::span<const PartId> part, PartId nparts, int nranks,
-    mpr::CostModel cost, const mpr::FaultPlan& fault_plan,
-    const mpr::FaultConfig& fault) {
-  ParallelTraverseResult out;
   SymWal wal;
   wal.live.assign(static_cast<std::size_t>(nranks), 1);
   out.run = mpr::Runtime::execute(
       nranks,
       [&](mpr::Comm& comm) {
-        std::vector<bool> visited(g.node_count(), false);
-        ft_sym_drive(
+        SimplifyPhases<GraphT> phases(g, nodes, config);
+        mpr::ft_sym_drive(
             comm, wal, fault,
             [&](std::uint32_t phase, std::uint32_t p, mpr::Message& frame,
                 double* work) {
-              FOCUS_CHECK(phase == 0, "unknown traverse phase in scan command");
-              const auto found =
-                  extract_subpaths(g, nodes[p], part, visited, work);
-              clear_visited(found, visited);
-              frame.pack(static_cast<std::uint32_t>(found.size()));
-              for (const auto& path : found) frame.pack_vector(path);
+              phases.visit(phase, [&](auto ph) {
+                Codec<typename decltype(ph)::Rec>::pack(frame,
+                                                        ph.scan(p, work));
+              });
             },
             [&](std::uint32_t phase_start) {
-              sym_traverse_coordinate(comm, wal, g, nodes, part, nparts,
-                                      fault, phase_start, &out.paths);
+              sym_simplify_coordinate(comm, wal, phases, nparts, fault,
+                                      phase_start, &out.stats);
             });
       },
       cost, fault_plan);
   return out;
+}
+
+namespace {
+
+/// Partition p's sub-paths. `visited` is cleared again afterwards, so the
+/// scan is a pure function of the graph and the partition and a replay
+/// yields the same record.
+template <class GraphT>
+Subpaths scan_subpaths(const GraphT& g, std::span<const NodeId> scan,
+                       std::span<const PartId> part,
+                       std::vector<bool>& visited, double* work) {
+  auto found = extract_subpaths(g, scan, part, visited, work);
+  clear_visited(found, visited);
+  return found;
+}
+
+/// Joins the collected sub-paths across partition boundaries.
+template <class GraphT>
+void join_records(mpr::Comm& comm, const GraphT& g, Subpaths all,
+                  Subpaths* paths) {
+  double join_work = 0.0;
+  *paths = join_subpaths(g, std::move(all), &join_work);
+  comm.charge(join_work);
 }
 
 }  // namespace
@@ -780,53 +378,66 @@ ParallelTraverseResult traverse_parallel(const GraphT& g,
                                          unsigned threads,
                                          const mpr::FaultPlan& fault_plan,
                                          const mpr::FaultConfig& fault,
-                                         // Unused: the plan picks the body.
+                                         // perfbench-pinned; unused.
                                          const DistConfig& /*dist*/) {
   FOCUS_CHECK(part.size() == g.node_count(), "partition size mismatch");
   const auto nodes = partition_node_lists(part, nparts, threads);
 
-  // A plan runs the recovery driver: one collect and a coordinator join
-  // whose rank-major record order is the master's gather order, so both
-  // emit the same paths. An empty plan runs the master gather and join.
-  if (!fault_plan.empty()) {
-    return ft_sym_traverse(g, nodes, part, nparts, nranks, cost, fault_plan,
-                           fault);
+  ParallelTraverseResult out;
+  if (fault_plan.empty()) {
+    out.run = mpr::Runtime::execute(
+        nranks,
+        [&](mpr::Comm& comm) {
+          std::vector<bool> visited(g.node_count(), false);
+          gather_records<Subpaths>(
+              comm, nparts,
+              [&](std::uint32_t p, double* work) {
+                return scan_subpaths(g, nodes[p], part, visited, work);
+              },
+              [&](Subpaths all) {
+                join_records(comm, g, std::move(all), &out.paths);
+              });
+        },
+        cost);
+    return out;
   }
 
-  ParallelTraverseResult out;
+  // The coordinator commits the collected sub-paths, then joins from the
+  // durable record — identical whether this rank collected them itself or
+  // inherited them from a crashed predecessor.
+  SymWal wal;
+  wal.live.assign(static_cast<std::size_t>(nranks), 1);
   out.run = mpr::Runtime::execute(
       nranks,
       [&](mpr::Comm& comm) {
         std::vector<bool> visited(g.node_count(), false);
-        std::vector<std::vector<NodeId>> subpaths;
-        double work = 0.0;
-        for (std::size_t p = 0; p < nodes.size(); ++p) {
-          if (!mine(p, comm)) continue;
-          auto found = extract_subpaths(g, nodes[p], part, visited, &work);
-          for (auto& path : found) subpaths.push_back(std::move(path));
-        }
-        comm.charge(work);
-
-        mpr::Message msg;
-        msg.pack(static_cast<std::uint32_t>(subpaths.size()));
-        for (const auto& path : subpaths) msg.pack_vector(path);
-        auto gathered = comm.gather(std::move(msg), 0);
-        if (comm.rank() == 0) {
-          std::vector<std::vector<NodeId>> all;
-          for (auto& m : gathered) {
-            const auto count = m.unpack<std::uint32_t>();
-            for (std::uint32_t i = 0; i < count; ++i) {
-              all.push_back(m.unpack_vector<NodeId>());
-            }
-            FOCUS_CHECK(m.fully_consumed(), "trailing bytes in phase frame");
-          }
-          double join_work = 0.0;
-          out.paths = join_subpaths(g, std::move(all), &join_work);
-          comm.charge(join_work);
-        }
-        comm.barrier();
+        const auto scan = [&](std::uint32_t p, double* work) {
+          return scan_subpaths(g, nodes[p], part, visited, work);
+        };
+        mpr::ft_sym_drive(
+            comm, wal, fault,
+            [&](std::uint32_t phase, std::uint32_t p, mpr::Message& frame,
+                double* work) {
+              FOCUS_CHECK(phase == 0, "unknown traverse phase in scan command");
+              Codec<Subpaths>::pack(frame, scan(p, work));
+            },
+            [&](std::uint32_t phase_start) {
+              if (phase_start == 0) {
+                SymWal::Entry entry;
+                Codec<Subpaths>::pack(
+                    entry.payload,
+                    collect_records<Subpaths>(comm, wal, nparts, 0, fault,
+                                              scan));
+                mpr::sym_wal_commit(comm, wal, std::move(entry));
+              }
+              auto payload = first_entry_payload(wal);
+              auto all = Codec<Subpaths>::unpack(payload);
+              FOCUS_CHECK(payload.fully_consumed(),
+                          "trailing bytes in sub-path log");
+              join_records(comm, g, std::move(all), &out.paths);
+            });
       },
-      cost);
+      cost, fault_plan);
   return out;
 }
 
@@ -852,52 +463,37 @@ std::vector<align::Overlap> ft_overlap_scan_block(
   return out;
 }
 
-std::vector<align::Overlap> ft_overlap_merge(
-    mpr::Comm& comm, std::vector<std::vector<align::Overlap>> recs) {
-  std::vector<align::Overlap> all;
-  for (auto& r : recs) all.insert(all.end(), r.begin(), r.end());
-  comm.charge(static_cast<double>(all.size()) *
-              std::log2(static_cast<double>(all.size()) + 2.0));
-  return align::dedupe_overlaps(std::move(all));
-}
-
 void ft_overlap_symmetric(mpr::Comm& comm, const io::ReadSet& reads,
                           const align::KmerShard& shard,
                           const align::SubsetRanges& subsets,
                           const align::OverlapperConfig& config, PartId nparts,
                           const mpr::FaultConfig& fault, SymWal& wal,
                           std::vector<align::Overlap>* overlaps) {
-  ft_sym_drive(
+  using Rec = std::vector<align::Overlap>;
+  const auto scan = [&](std::uint32_t p, double* work) {
+    return ft_overlap_scan_block(reads, shard, subsets, config, p, work);
+  };
+  mpr::ft_sym_drive(
       comm, wal, fault,
       [&](std::uint32_t phase, std::uint32_t p, mpr::Message& frame,
           double* work) {
         FOCUS_CHECK(phase == 0, "unknown overlap phase in scan command");
-        frame.pack_vector(
-            ft_overlap_scan_block(reads, shard, subsets, config, p, work));
+        Codec<Rec>::pack(frame, scan(p, work));
       },
       [&](std::uint32_t phase_start) {
         if (phase_start == 0) {
-          auto recs = sym_collect_phase<std::vector<align::Overlap>>(
-              comm, wal, nparts, 0, fault,
-              [&](std::uint32_t p, double* work) {
-                return ft_overlap_scan_block(reads, shard, subsets, config, p,
-                                             work);
-              },
-              [](mpr::Message& m) {
-                return m.unpack_vector<align::Overlap>();
-              });
+          auto all = collect_records<Rec>(comm, wal, nparts, 0, fault, scan);
+          comm.charge(static_cast<double>(all.size()) *
+                      std::log2(static_cast<double>(all.size()) + 2.0));
           SymWal::Entry entry;
-          entry.payload.pack_vector(ft_overlap_merge(comm, std::move(recs)));
-          sym_wal_commit(comm, wal, std::move(entry));
+          Codec<Rec>::pack(entry.payload,
+                           align::dedupe_overlaps(std::move(all)));
+          mpr::sym_wal_commit(comm, wal, std::move(entry));
         }
         // Publish from the durable record — identical whether this rank
         // merged the blocks itself or inherited the committed entry.
-        mpr::Message payload;
-        {
-          std::lock_guard<std::mutex> lock(wal.mu);
-          payload = wal.entries.front().payload;
-        }
-        *overlaps = payload.unpack_vector<align::Overlap>();
+        auto payload = first_entry_payload(wal);
+        *overlaps = Codec<Rec>::unpack(payload);
         FOCUS_CHECK(payload.fully_consumed(), "trailing bytes in overlap log");
       });
 }
@@ -926,7 +522,7 @@ ParallelOverlapResult overlap_parallel(const io::ReadSet& reads,
                                        int nranks, mpr::CostModel cost,
                                        const mpr::FaultPlan& fault_plan,
                                        const mpr::FaultConfig& fault,
-                                       // Unused: every plan runs one driver.
+                                       // perfbench-pinned; unused.
                                        const DistConfig& /*dist*/) {
   if (fault_plan.empty()) {
     auto r = align::find_overlaps_sharded(reads, config, nranks, cost);

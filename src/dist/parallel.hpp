@@ -1,27 +1,19 @@
 // mpr-parallel drivers for the distributed graph algorithms (paper §V, §VI-D).
 //
-// The hybrid graph is partitioned; DistConfig::protocol picks the fault-free
-// simplify body. kMaster is the paper's protocol: partitions are assigned
-// round-robin, workers scan and ship recorded changes to the master (rank 0),
-// which applies them between phases. kSymmetric simplifies owner-computes
-// (DESIGN.md §7b): partitions are LPT-assigned by estimated scan cost, deltas
-// travel peer-to-peer in batched alltoall rounds and every rank applies them
-// in a canonical order, so no rank's clock serializes the apply. Both produce
-// byte-identical output. The fault-free traverse is the master gather and
-// join under either setting.
-//
-// Fault tolerance (DESIGN.md §7 / §7b): when a non-empty FaultPlan is
-// supplied every driver runs one recovery protocol, whatever the protocol
-// setting: a rotating coordinator over a replicated write-ahead log
-// (mpr/ft_phase.hpp). The coordinator sends each live rank a scan command
-// naming its partitions, collects one record frame per rank with a timed
-// receive, and re-scans the partitions of dead ranks on the survivors
-// (bounded by FaultConfig::max_retries); if the coordinator itself dies, the
-// lowest surviving rank resumes from the log. Records are absorbed in a
-// canonical partition order that is independent of which rank scanned them,
-// so a recovered run applies the exact change sequence of a fault-free run.
-// With an empty plan the master drivers run their barrier-synchronized fast
-// path, bit identical to the pre-fault-tolerance driver.
+// The hybrid graph is partitioned and every collected phase runs under one
+// of two drivers (mpr/ft_phase.hpp). With an empty FaultPlan it is the
+// paper's master protocol (gather_phase): rank r scans the partitions
+// p % ranks == r, workers ship their records to rank 0, which applies them
+// between barrier-separated phases. With any other plan it is the recovery
+// protocol (DESIGN.md §7 / §7b): a rotating coordinator over a replicated
+// write-ahead log sends each live rank a scan command naming its partitions,
+// collects one record frame per rank with a timed receive, and re-scans the
+// partitions of dead ranks on the survivors (bounded by
+// FaultConfig::max_retries); if the coordinator itself dies, the lowest
+// surviving rank resumes from the log. Both drivers merge the records in the
+// same rank-major partition order, so a recovered run applies the exact
+// change sequence of a fault-free run. Each simplify phase — its partition
+// scan, record codec and apply — is written once and run by both.
 #pragma once
 
 #include <span>
@@ -31,41 +23,18 @@
 #include "dist/traverse.hpp"
 #include "mpr/runtime.hpp"
 
-namespace focus {
-struct EnvSnapshot;
-}
-
 namespace focus::dist {
 
-/// Wire protocol of the distributed simplify/traverse drivers.
-///
-/// kMaster is the paper's protocol: workers scan and ship records to rank 0,
-/// which applies them between phases — simple, but the master-side apply and
-/// sub-path join serialize on rank 0's clock.
-///
-/// kSymmetric simplifies owner-computes (DESIGN.md §7b): partitions are
-/// LPT-assigned to ranks by estimated scan cost, every rank applies the
-/// deltas for the nodes and edges it owns, and cross-owner deltas travel in
-/// batched mpr::exchange_deltas rounds. Both protocols produce byte-identical
-/// graphs and stats (tests/dist_protocol_test.cpp). The setting only picks
-/// the fault-free simplify body: the fault-free traverse is the master's
-/// under either value, and under a non-empty fault plan every stage runs
-/// the rotating-coordinator recovery driver.
+/// perfbench-pinned: read by perfbench only; no driver consults it.
 enum class DistProtocol {
   kMaster,
   kSymmetric,
 };
 
-/// Reads FOCUS_DIST_PROTOCOL ('master' | 'symmetric'; unset/empty =
-/// symmetric as of PR 9).
-DistProtocol dist_protocol_from_env();
-
-/// Same, resolved against an already-captured environment snapshot.
-DistProtocol dist_protocol_from_env(const EnvSnapshot& env);
-
-/// Knobs shared by the simplify/traverse drivers.
+/// perfbench-pinned: carried by FocusConfig::dist and the drivers' unused
+/// `dist` parameters.
 struct DistConfig {
-  DistProtocol protocol = dist_protocol_from_env();
+  DistProtocol protocol = DistProtocol::kMaster;
 };
 
 /// Nodes of each partition, in ascending node-id order. This is the host-side
@@ -92,8 +61,9 @@ struct ParallelSimplifyResult {
 /// `fault` bounds its retries and sets the receive deadline.
 ///
 /// GraphT is dist::AsmGraph or dist::StoredAsmGraph (explicit instantiations
-/// in parallel.cpp) — both protocols iterate partitions through either
+/// in parallel.cpp) — both drivers iterate partitions through either
 /// backend and produce byte-identical results (tests/graph_store_test.cpp).
+/// The last parameter is perfbench-pinned and unused.
 template <class GraphT>
 ParallelSimplifyResult simplify_parallel(GraphT& g,
                                          std::span<const PartId> part,
@@ -103,7 +73,7 @@ ParallelSimplifyResult simplify_parallel(GraphT& g,
                                          unsigned threads = 1,
                                          const mpr::FaultPlan& fault_plan = {},
                                          const mpr::FaultConfig& fault = {},
-                                         const DistConfig& dist = {});
+                                         const DistConfig& = {});
 
 struct ParallelTraverseResult {
   std::vector<std::vector<NodeId>> paths;
@@ -113,8 +83,8 @@ struct ParallelTraverseResult {
 /// Distributed maximal-path traversal: ranks grow partition-local
 /// sub-paths; one rank joins them across partition boundaries — the master
 /// on an empty plan, the rotating coordinator on any other. `threads`,
-/// `fault_plan`, `fault` and GraphT as in simplify_parallel; `dist` is
-/// unused.
+/// `fault_plan`, `fault` and GraphT as in simplify_parallel; the last
+/// parameter is perfbench-pinned and unused.
 template <class GraphT>
 ParallelTraverseResult traverse_parallel(const GraphT& g,
                                          std::span<const PartId> part,
@@ -123,7 +93,7 @@ ParallelTraverseResult traverse_parallel(const GraphT& g,
                                          unsigned threads = 1,
                                          const mpr::FaultPlan& fault_plan = {},
                                          const mpr::FaultConfig& fault = {},
-                                         const DistConfig& dist = {});
+                                         const DistConfig& = {});
 
 struct ParallelOverlapResult {
   std::vector<align::Overlap> overlaps;
@@ -139,12 +109,12 @@ struct ParallelOverlapResult {
 /// (reads, config), so a recovered run reproduces the exact fault-free
 /// overlap set (tests/mpr_fault_test.cpp). Recovery runs the rotating
 /// coordinator over a replicated log, which survives any rank's death,
-/// including rank 0. `dist` is unused: every plan runs that one driver.
+/// including rank 0. The last parameter is perfbench-pinned and unused.
 ParallelOverlapResult overlap_parallel(const io::ReadSet& reads,
                                        const align::OverlapperConfig& config,
                                        int nranks, mpr::CostModel cost = {},
                                        const mpr::FaultPlan& fault_plan = {},
                                        const mpr::FaultConfig& fault = {},
-                                       const DistConfig& dist = {});
+                                       const DistConfig& = {});
 
 }  // namespace focus::dist

@@ -8,8 +8,8 @@
 //
 //   resident, mutable    removed-node flags; the full AsmEdge array (each
 //                        record carries its own removed/verified overlay —
-//                        O(24 B) per edge, mutated at disjoint indices by the
-//                        owner-computes protocol exactly as with AsmGraph)
+//                        O(24 B) per edge, mutated by the applying rank
+//                        exactly as with AsmGraph)
 //   resident, immutable  per-node partition id, local index, contig length,
 //                        read count
 //   sliced, immutable    per-partition CSR out/in edge-id lists + 2-bit

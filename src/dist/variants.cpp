@@ -180,65 +180,6 @@ std::vector<Variant> find_variants_serial(const AsmGraph& g,
   return canonical_variants(find_variants(g, all, config, work));
 }
 
-namespace {
-
-ParallelVariantResult find_variants_parallel_ft(
-    const AsmGraph& g, const std::vector<std::vector<NodeId>>& nodes,
-    PartId nparts, const VariantConfig& config, int nranks,
-    mpr::CostModel cost, const mpr::FaultPlan& fault_plan,
-    const mpr::FaultConfig& fault) {
-  ParallelVariantResult out;
-  using Rec = std::vector<Variant>;
-  mpr::SymWal wal;
-  wal.live.assign(static_cast<std::size_t>(nranks), 1);
-  out.run = mpr::Runtime::execute(
-      nranks,
-      [&](mpr::Comm& comm) {
-        mpr::ft_sym_drive(
-            comm, wal, fault,
-            [&](std::uint32_t phase, std::uint32_t p, mpr::Message& frame,
-                double* work) {
-              FOCUS_CHECK(phase == 0, "unknown variants phase in scan command");
-              frame.pack_vector(find_variants(g, nodes[p], config, work));
-            },
-            [&](std::uint32_t phase_start) {
-              if (phase_start == 0) {
-                auto recs = mpr::sym_collect_phase<Rec>(
-                    comm, wal, nparts, 0, fault,
-                    [&](std::uint32_t p, double* work) {
-                      return find_variants(g, nodes[p], config, work);
-                    },
-                    [&](mpr::Message& m) {
-                      auto rec = m.unpack_vector<Variant>();
-                      for (const Variant& v : rec) validate_variant(g, v);
-                      return rec;
-                    });
-                std::vector<Variant> all;
-                for (auto& r : recs) all.insert(all.end(), r.begin(), r.end());
-                comm.charge(static_cast<double>(all.size()));
-                mpr::SymWal::Entry entry;
-                entry.payload.pack_vector(canonical_variants(std::move(all)));
-                mpr::sym_wal_commit(comm, wal, std::move(entry));
-              }
-              // Publish from the durable record — identical whether this
-              // rank merged the records itself or inherited them.
-              mpr::Message payload;
-              {
-                std::lock_guard<std::mutex> lock(wal.mu);
-                payload = wal.entries.front().payload;
-              }
-              auto merged = payload.unpack_vector<Variant>();
-              FOCUS_CHECK(payload.fully_consumed(),
-                          "trailing bytes in variant log");
-              out.variants = std::move(merged);
-            });
-      },
-      cost, fault_plan);
-  return out;
-}
-
-}  // namespace
-
 ParallelVariantResult find_variants_parallel(
     const AsmGraph& g, std::span<const PartId> part, PartId nparts,
     const VariantConfig& config, int nranks, mpr::CostModel cost,
@@ -250,43 +191,76 @@ ParallelVariantResult find_variants_parallel(
     nodes[static_cast<std::size_t>(part[v])].push_back(v);
   }
 
-  if (!fault_plan.empty()) {
-    return find_variants_parallel_ft(g, nodes, nparts, config, nranks, cost,
-                                     fault_plan, fault);
-  }
+  // One phase, as the fault-free gather and the recovery coordinator both
+  // run it: scan a partition, decode and validate a record, merge.
+  using Rec = std::vector<Variant>;
+  const auto scan = [&](std::uint32_t p, double* work) {
+    return find_variants(g, nodes[p], config, work);
+  };
+  const auto unpack = [&](mpr::Message& m) {
+    auto rec = m.unpack_vector<Variant>();
+    for (const Variant& v : rec) validate_variant(g, v);
+    return rec;
+  };
+  const auto append = [](Rec& all, Rec r) {
+    all.insert(all.end(), r.begin(), r.end());
+  };
+  const auto merge = [&](mpr::Comm& comm, Rec all) {
+    comm.charge(static_cast<double>(all.size()));
+    return canonical_variants(std::move(all));
+  };
+  const auto nparts32 = static_cast<std::uint32_t>(nparts);
 
   ParallelVariantResult out;
+  if (fault_plan.empty()) {
+    out.run = mpr::Runtime::execute(
+        nranks,
+        [&](mpr::Comm& comm) {
+          mpr::gather_phase<Rec>(
+              comm, nparts32, scan, unpack,
+              [](mpr::Message& m, const Rec& r) { m.pack_vector(r); }, append,
+              [&](Rec all) { out.variants = merge(comm, std::move(all)); });
+        },
+        cost);
+    return out;
+  }
+
+  mpr::SymWal wal;
+  wal.live.assign(static_cast<std::size_t>(nranks), 1);
   out.run = mpr::Runtime::execute(
       nranks,
       [&](mpr::Comm& comm) {
-        std::vector<Variant> mine;
-        double work = 0.0;
-        for (std::size_t p = 0; p < nodes.size(); ++p) {
-          if (static_cast<int>(p % static_cast<std::size_t>(comm.size())) !=
-              comm.rank()) {
-            continue;
-          }
-          auto found = find_variants(g, nodes[p], config, &work);
-          mine.insert(mine.end(), found.begin(), found.end());
-        }
-        comm.charge(work);
-        mpr::Message msg;
-        msg.pack_vector(mine);
-        auto gathered = comm.gather(std::move(msg), 0);
-        if (comm.rank() == 0) {
-          std::vector<Variant> all;
-          for (auto& m : gathered) {
-            auto v = m.unpack_vector<Variant>();
-            FOCUS_CHECK(m.fully_consumed(), "trailing bytes in phase frame");
-            for (const Variant& rec : v) validate_variant(g, rec);
-            all.insert(all.end(), v.begin(), v.end());
-          }
-          comm.charge(static_cast<double>(all.size()));
-          out.variants = canonical_variants(std::move(all));
-        }
-        comm.barrier();
+        mpr::ft_sym_drive(
+            comm, wal, fault,
+            [&](std::uint32_t phase, std::uint32_t p, mpr::Message& frame,
+                double* work) {
+              FOCUS_CHECK(phase == 0, "unknown variants phase in scan command");
+              frame.pack_vector(scan(p, work));
+            },
+            [&](std::uint32_t phase_start) {
+              if (phase_start == 0) {
+                Rec all;
+                for (auto& r : mpr::sym_collect_phase<Rec>(
+                         comm, wal, nparts32, 0, fault, scan, unpack)) {
+                  append(all, std::move(r));
+                }
+                mpr::SymWal::Entry entry;
+                entry.payload.pack_vector(merge(comm, std::move(all)));
+                mpr::sym_wal_commit(comm, wal, std::move(entry));
+              }
+              // Publish from the durable record — identical whether this
+              // rank merged the records itself or inherited them.
+              mpr::Message payload;
+              {
+                std::lock_guard<std::mutex> lock(wal.mu);
+                payload = wal.entries.front().payload;
+              }
+              out.variants = payload.unpack_vector<Variant>();
+              FOCUS_CHECK(payload.fully_consumed(),
+                          "trailing bytes in variant log");
+            });
       },
-      cost);
+      cost, fault_plan);
   return out;
 }
 

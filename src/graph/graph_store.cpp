@@ -5,6 +5,8 @@
 #include <fstream>
 #include <limits>
 
+#include <unistd.h>
+
 #include "common/checksum.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
@@ -119,9 +121,16 @@ SpillManager::SpillManager(const GraphStoreConfig& config)
                                    : std::filesystem::path(config.spill_dir);
   const std::uint64_t tag =
       g_spill_dir_counter.fetch_add(1, std::memory_order_relaxed);
-  dir_ = base / ("focus-graph-store-" + std::to_string(tag) + "-" +
+  // The counter and the address repeat across processes (a fork, or an
+  // identical heap layout), so the pid keeps concurrent processes apart.
+  dir_ = base / ("focus-graph-store-" + std::to_string(::getpid()) + "-" +
+                 std::to_string(tag) + "-" +
                  std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-  std::filesystem::create_directories(dir_);
+  std::filesystem::create_directories(base);
+  if (!std::filesystem::create_directory(dir_)) {
+    FOCUS_THROW("graph store: spill directory already exists: " +
+                dir_.string());
+  }
   owns_dir_ = true;
 }
 

@@ -19,6 +19,11 @@
 // Scans are pure in (phase, partition), so a record kept from a failed
 // round equals the one a re-scan would produce.
 //
+// gather_phase is the fault-free counterpart for an empty fault plan: the
+// §V master gather, which hands rank 0 the records in the same rank-major
+// order, so a driver that runs its phases through both applies the same
+// change sequence under either.
+//
 // Two extensions over the original in-driver machinery:
 //  * FtOrder — the canonical order collected records are returned in.
 //    kRankMajor reproduces the fault-free gather order of the graph drivers
@@ -296,6 +301,41 @@ std::vector<Rec> sym_collect_phase(
     comm.charge_recovery(fault.recv_timeout_vtime *
                          static_cast<double>(round + 1));
   }
+}
+
+/// Fault-free collect, the §V master gather. Rank r scans the partitions
+/// ft_assign gives it in round 0 (p % size == r, ascending), appends their
+/// records into one record, packs it once and gathers it to rank 0. Rank 0
+/// unpacks one record per rank and appends them in rank order — the
+/// concatenation of what sym_collect_phase returns under kRankMajor — and
+/// hands the merged record to `apply`. A barrier then closes the phase, so
+/// the next phase scans the applied state.
+template <typename Rec>
+void gather_phase(Comm& comm, std::uint32_t nparts,
+                  const std::function<Rec(std::uint32_t, double*)>& scan_one,
+                  const std::function<Rec(Message&)>& unpack_one,
+                  const std::function<void(Message&, const Rec&)>& pack,
+                  const std::function<void(Rec&, Rec)>& append,
+                  const std::function<void(Rec)>& apply) {
+  Rec mine;
+  double work = 0.0;
+  for (auto p = static_cast<std::uint32_t>(comm.rank()); p < nparts;
+       p += static_cast<std::uint32_t>(comm.size())) {
+    append(mine, scan_one(p, &work));
+  }
+  comm.charge(work);
+  Message msg;
+  pack(msg, mine);
+  auto gathered = comm.gather(std::move(msg), 0);
+  if (comm.rank() == 0) {
+    Rec all;
+    for (auto& m : gathered) {
+      append(all, unpack_one(m));
+      FOCUS_CHECK(m.fully_consumed(), "trailing bytes in phase frame");
+    }
+    apply(std::move(all));
+  }
+  comm.barrier();
 }
 
 /// Drive loop of the recovery protocol. Every rank serves scan commands from

@@ -1,4 +1,4 @@
-// Batched communication rounds for symmetric (non-master/worker) protocols.
+// Batched all-to-all communication rounds.
 //
 // The distributed-index overlapper (DESIGN.md §6c) exchanges large batches of
 // small records — k-mer postings, seed probes, candidate hits — between every
@@ -6,6 +6,7 @@
 // phases use: every rank contributes one message per destination and receives
 // one message per source, with a deterministic delivery order (ascending
 // source rank) so downstream processing is a pure function of the inputs.
+// The overlapper is its only caller.
 //
 // Framing: callers pack homogeneous trivially-copyable record vectors with
 // Message::pack_vector. The round itself adds no framing bytes — each
@@ -29,30 +30,5 @@ namespace focus::mpr {
 /// call this with the same `tag`, exactly once per round.
 std::vector<Message> alltoall_round(Comm& comm, std::vector<Message> outgoing,
                                     int tag);
-
-/// Delta-frame exchange for the symmetric owner-computes drivers: rank r's
-/// `buckets[d]` (records destined for rank d, e.g. node removals routed to
-/// the node's owner) are shipped in one alltoall round; the return value is
-/// the arrived records concatenated in ascending source-rank order — a total
-/// order independent of scheduling, so owner-side applies are deterministic.
-template <typename Rec>
-std::vector<Rec> exchange_deltas(Comm& comm,
-                                 const std::vector<std::vector<Rec>>& buckets,
-                                 int tag) {
-  FOCUS_CHECK(buckets.size() == static_cast<std::size_t>(comm.size()),
-              "one delta bucket per rank required");
-  std::vector<Message> outgoing(buckets.size());
-  for (std::size_t d = 0; d < buckets.size(); ++d) {
-    outgoing[d].pack_vector(buckets[d]);
-  }
-  auto incoming = alltoall_round(comm, std::move(outgoing), tag);
-  std::vector<Rec> merged;
-  for (auto& msg : incoming) {
-    auto recs = msg.unpack_vector<Rec>();
-    FOCUS_CHECK(msg.fully_consumed(), "trailing bytes in delta frame");
-    merged.insert(merged.end(), recs.begin(), recs.end());
-  }
-  return merged;
-}
 
 }  // namespace focus::mpr

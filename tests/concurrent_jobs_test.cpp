@@ -1,6 +1,7 @@
 // Concurrent-assembler determinism suite: two in-process assemblies running
 // at the same time — raw std::threads or JobScheduler lanes — must each
-// produce the byte-identical result of a serial run, across wire protocols,
+// produce the byte-identical result of a serial run, across drivers (the
+// fault-free master gather and the recovery protocol under an idle plan),
 // graph-store backends, and thread-pool widths. This is the proof obligation
 // for the global-state sweep (EnvSnapshot, per-pool TLS slots, job-boundary
 // scratch reset): before it, scattered getenv reads and cross-pool
@@ -8,6 +9,7 @@
 // TSan via tools/run_sanitizers.sh.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,8 +36,7 @@ const sim::Dataset& dataset_two() {
 
 /// Env-independent pipeline config; distributed-index overlap so stage 2
 /// also exercises the mpr runtime concurrently.
-core::FocusConfig jobs_config(dist::DistProtocol protocol,
-                              graph::GraphStoreBackend backend,
+core::FocusConfig jobs_config(graph::GraphStoreBackend backend,
                               unsigned width = 0) {
   core::FocusConfig cfg{EnvSnapshot{}};
   cfg.overlap.strategy = align::SeedStrategy::kDistributedIndex;
@@ -46,7 +47,6 @@ core::FocusConfig jobs_config(dist::DistProtocol protocol,
   cfg.partitions = 4;
   cfg.ranks = 2;
   cfg.min_contig_length = 150;
-  cfg.dist.protocol = protocol;
   cfg.graph_store.backend = backend;
   if (width != 0) {
     cfg.overlap.threads = width;
@@ -56,21 +56,27 @@ core::FocusConfig jobs_config(dist::DistProtocol protocol,
   return cfg;
 }
 
-/// Serial oracles. Outputs are protocol/backend/width-invariant, so one
+/// A crash point past every op: it injects nothing, but a non-empty plan runs
+/// every distributed stage on the recovery protocol.
+mpr::FaultPlan idle_plan() {
+  mpr::FaultPlan plan;
+  plan.crashes.push_back({0, std::numeric_limits<std::uint64_t>::max()});
+  return plan;
+}
+
+/// Serial oracles. Outputs are driver/backend/width-invariant, so one
 /// oracle per dataset serves every configuration under test.
 const core::AssemblyResult& oracle_one() {
   static const core::AssemblyResult r =
       core::assemble_reads(dataset_one().data.reads,
-                           jobs_config(dist::DistProtocol::kMaster,
-                                       graph::GraphStoreBackend::kInMemory));
+                           jobs_config(graph::GraphStoreBackend::kInMemory));
   return r;
 }
 
 const core::AssemblyResult& oracle_two() {
   static const core::AssemblyResult r =
       core::assemble_reads(dataset_two().data.reads,
-                           jobs_config(dist::DistProtocol::kMaster,
-                                       graph::GraphStoreBackend::kInMemory));
+                           jobs_config(graph::GraphStoreBackend::kInMemory));
   return r;
 }
 
@@ -105,19 +111,18 @@ void run_concurrent_pair(const core::FocusConfig& cfg1,
 }
 
 TEST(ConcurrentAssemblers, ProtocolAndBackendMatrixMatchesSerial) {
-  for (const auto protocol :
-       {dist::DistProtocol::kMaster, dist::DistProtocol::kSymmetric}) {
+  for (const bool recovery : {false, true}) {
     for (const auto backend : {graph::GraphStoreBackend::kInMemory,
                                graph::GraphStoreBackend::kCsrSpill}) {
       const std::string ctx =
-          std::string("protocol=") +
-          (protocol == dist::DistProtocol::kMaster ? "master" : "symmetric") +
+          std::string("driver=") + (recovery ? "recovery" : "master") +
           " backend=" +
           (backend == graph::GraphStoreBackend::kInMemory ? "memory"
                                                           : "csr-spill");
       SCOPED_TRACE(ctx);
-      run_concurrent_pair(jobs_config(protocol, backend),
-                          jobs_config(protocol, backend), ctx);
+      core::FocusConfig cfg = jobs_config(backend);
+      if (recovery) cfg.fault_plan = idle_plan();
+      run_concurrent_pair(cfg, cfg, ctx);
     }
   }
 }
@@ -126,23 +131,22 @@ TEST(ConcurrentAssemblers, HeavyWidthSweepMatchesSerial) {
   for (const unsigned width : {1u, 2u, 4u, 8u}) {
     const std::string ctx = "width=" + std::to_string(width);
     SCOPED_TRACE(ctx);
-    run_concurrent_pair(jobs_config(dist::DistProtocol::kSymmetric,
-                                    graph::GraphStoreBackend::kInMemory,
+    run_concurrent_pair(jobs_config(graph::GraphStoreBackend::kInMemory,
                                     width),
-                        jobs_config(dist::DistProtocol::kSymmetric,
-                                    graph::GraphStoreBackend::kInMemory,
+                        jobs_config(graph::GraphStoreBackend::kInMemory,
                                     width),
                         ctx);
   }
 }
 
 TEST(ConcurrentAssemblers, MixedConfigurationsShareTheProcess) {
-  // The two concurrent jobs deliberately disagree on protocol, backend and
+  // The two concurrent jobs deliberately disagree on driver, backend and
   // width: nothing one job configures may leak into the other.
-  run_concurrent_pair(jobs_config(dist::DistProtocol::kMaster,
-                                  graph::GraphStoreBackend::kCsrSpill, 2),
-                      jobs_config(dist::DistProtocol::kSymmetric,
-                                  graph::GraphStoreBackend::kInMemory, 8),
+  core::FocusConfig recovering =
+      jobs_config(graph::GraphStoreBackend::kCsrSpill, 2);
+  recovering.fault_plan = idle_plan();
+  run_concurrent_pair(recovering,
+                      jobs_config(graph::GraphStoreBackend::kInMemory, 8),
                       "mixed configs");
 }
 
@@ -152,11 +156,9 @@ TEST(ConcurrentAssemblers, SchedulerLanesMatchSerial) {
   svc::JobScheduler sched(sc);
 
   auto f1 = sched.submit("t1", dataset_one().data.reads,
-                         jobs_config(dist::DistProtocol::kSymmetric,
-                                     graph::GraphStoreBackend::kInMemory));
+                         jobs_config(graph::GraphStoreBackend::kInMemory));
   auto f2 = sched.submit("t2", dataset_two().data.reads,
-                         jobs_config(dist::DistProtocol::kSymmetric,
-                                     graph::GraphStoreBackend::kInMemory));
+                         jobs_config(graph::GraphStoreBackend::kInMemory));
   const svc::JobResult r1 = f1.get();
   const svc::JobResult r2 = f2.get();
   expect_same_assembly(r1.assembly, oracle_one(), "scheduler / dataset 1");
@@ -165,8 +167,7 @@ TEST(ConcurrentAssemblers, SchedulerLanesMatchSerial) {
   // Repeat submissions ride the shared artifact cache and stay identical.
   const svc::JobResult again =
       sched.submit("t1", dataset_one().data.reads,
-                   jobs_config(dist::DistProtocol::kSymmetric,
-                               graph::GraphStoreBackend::kInMemory))
+                   jobs_config(graph::GraphStoreBackend::kInMemory))
           .get();
   EXPECT_TRUE(again.stats.cache_hits.preprocess);
   EXPECT_TRUE(again.stats.cache_hits.overlaps);

@@ -1,15 +1,14 @@
-// Tests for the symmetric owner-computes protocol (DESIGN.md §7b): the
-// master and symmetric simplify drivers must produce byte-identical graphs
-// and stats counters, and the recovery driver's coordinator join the
-// master's traversal paths, at every rank count; the FOCUS_DIST_PROTOCOL
-// selector must parse strictly, and the symmetric runtime stats must be
-// bit-deterministic across reruns.
+// Tests that the two distributed drivers agree (DESIGN.md §7b): on an empty
+// fault plan the master gather runs, on any other plan the recovery protocol
+// (rotating coordinator over a replicated write-ahead log). An idle plan —
+// one crash point past every op — injects nothing but routes every stage to
+// the recovery driver, which must reproduce the master's graphs, stats,
+// paths and contigs at every rank count, with bit-deterministic RunStats.
 //
 // Heavy grid variants (full pipeline on the simulated datasets D1–D3) are
 // labelled perf-smoke in tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -27,12 +26,10 @@
 namespace focus::dist {
 namespace {
 
-const DistConfig kMasterCfg{DistProtocol::kMaster};
-const DistConfig kSymmetricCfg{DistProtocol::kSymmetric};
-
 // A plan whose one crash point lies past every op a run issues: it injects
-// nothing, but a non-empty plan routes the traverse to the recovery driver,
-// whose coordinator join must emit the master's paths in the master's order.
+// nothing, but a non-empty plan routes every stage to the recovery driver,
+// which must apply the master's changes and emit the master's paths in the
+// master's order.
 mpr::FaultPlan idle_plan() {
   mpr::FaultPlan plan;
   plan.crashes.push_back({0, std::numeric_limits<std::uint64_t>::max()});
@@ -109,61 +106,7 @@ void expect_same_stats(const SimplifyStats& got, const SimplifyStats& want,
 }
 
 // ---------------------------------------------------------------------------
-// FOCUS_DIST_PROTOCOL parsing
-// ---------------------------------------------------------------------------
-
-// RAII save/restore so the suite never leaks an environment change into
-// other tests in the same binary.
-class ScopedEnv {
- public:
-  explicit ScopedEnv(const char* name) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  void set(const char* value) { ::setenv(name_, value, 1); }
-  void unset() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
-
-TEST(DistProtocolEnv, UnsetAndEmptyDefaultToSymmetric) {
-  ScopedEnv env("FOCUS_DIST_PROTOCOL");
-  env.unset();
-  EXPECT_EQ(dist_protocol_from_env(), DistProtocol::kSymmetric);
-  EXPECT_EQ(DistConfig{}.protocol, DistProtocol::kSymmetric);
-  env.set("");
-  EXPECT_EQ(dist_protocol_from_env(), DistProtocol::kSymmetric);
-}
-
-TEST(DistProtocolEnv, NamedProtocolsParse) {
-  ScopedEnv env("FOCUS_DIST_PROTOCOL");
-  env.set("master");
-  EXPECT_EQ(dist_protocol_from_env(), DistProtocol::kMaster);
-  EXPECT_EQ(DistConfig{}.protocol, DistProtocol::kMaster);
-  env.set("symmetric");
-  EXPECT_EQ(dist_protocol_from_env(), DistProtocol::kSymmetric);
-  EXPECT_EQ(DistConfig{}.protocol, DistProtocol::kSymmetric);
-}
-
-TEST(DistProtocolEnv, TypoThrowsInsteadOfSilentFallback) {
-  ScopedEnv env("FOCUS_DIST_PROTOCOL");
-  env.set("symetric");
-  EXPECT_THROW(dist_protocol_from_env(), Error);
-}
-
-// ---------------------------------------------------------------------------
-// Master == symmetric equivalence sweep
+// Fault-free == idle-plan recovery equivalence sweep
 // ---------------------------------------------------------------------------
 
 class DistProtocolSweep : public ::testing::TestWithParam<int> {};
@@ -175,10 +118,9 @@ TEST_P(DistProtocolSweep, SimplifyByteIdenticalToMaster) {
     AsmGraph sym_g = make_complex_graph(100);
     const auto part = striped_partition(master_g, parts);
     SimplifyConfig cfg;
-    const auto master = simplify_parallel(master_g, part, parts, cfg, nranks,
-                                          {}, 1, {}, {}, kMasterCfg);
+    const auto master = simplify_parallel(master_g, part, parts, cfg, nranks);
     const auto sym = simplify_parallel(sym_g, part, parts, cfg, nranks, {}, 1,
-                                       {}, {}, kSymmetricCfg);
+                                       idle_plan());
     const std::string context =
         "ranks " + std::to_string(nranks) + " parts " + std::to_string(parts);
     expect_same_stats(sym.stats, master.stats, context);
@@ -279,19 +221,27 @@ INSTANTIATE_TEST_SUITE_P(RankCounts, DistProtocolSweep,
                          ::testing::Values(1, 2, 4, 8));
 
 TEST(DistProtocol, SymmetricRunStatsAreBitDeterministic) {
+  // The recovery driver is the body whose clocks interleave: two idle-plan
+  // runs must report bit-identical RunStats, and each must reproduce the
+  // fault-free run's graph, counters and paths.
   const PartId parts = 8;
   const int nranks = 4;
   SimplifyConfig cfg;
+  AsmGraph want_g = make_complex_graph(300);
+  const auto part = striped_partition(want_g, parts);
+  const auto want_s = simplify_parallel(want_g, part, parts, cfg, nranks);
+  const auto want_t = traverse_parallel(want_g, part, parts, nranks);
   auto run_once = [&](mpr::RunStats* simplify_run, mpr::RunStats* trav_run) {
     AsmGraph g = make_complex_graph(300);
-    const auto part = striped_partition(g, parts);
-    const auto s = simplify_parallel(g, part, parts, cfg, nranks, {}, 1, {},
-                                     {}, kSymmetricCfg);
+    const auto s =
+        simplify_parallel(g, part, parts, cfg, nranks, {}, 1, idle_plan());
     *simplify_run = s.run;
-    // The recovery driver is the traverse body whose clocks interleave.
     const auto t =
         traverse_parallel(g, part, parts, nranks, {}, 1, idle_plan());
     *trav_run = t.run;
+    expect_same_stats(s.stats, want_s.stats, "idle plan");
+    expect_same_graph(g, want_g, "idle plan");
+    EXPECT_EQ(t.paths, want_t.paths);
   };
   mpr::RunStats s1, t1, s2, t2;
   run_once(&s1, &t1);
@@ -307,23 +257,25 @@ TEST(DistProtocol, SymmetricRunStatsAreBitDeterministic) {
 }
 
 TEST(DistProtocol, AssemblerConfigSelectsProtocol) {
-  // FocusConfig::dist reaches stages 6 and 7: both protocols end to end
-  // through the pipeline façade must agree on contigs and counters.
+  // FocusConfig::fault_plan picks the driver of every distributed stage:
+  // the master gather on an empty plan, the recovery protocol on an idle
+  // one. Both end to end through the pipeline façade must agree on contigs,
+  // paths and counters.
   const sim::Dataset d = sim::make_dataset(1, /*scale=*/0.15, /*coverage=*/6.0);
-  core::FocusConfig cfg;
+  core::FocusConfig cfg{EnvSnapshot{}};
   cfg.overlap.k = 14;
   cfg.overlap.min_kmer_hits = 3;
   cfg.overlap.min_overlap = 50;
   cfg.overlap.min_identity = 0.90;
   cfg.partitions = 4;
   cfg.ranks = 4;
-  cfg.dist = kMasterCfg;
   const auto master = core::assemble_reads(d.data.reads, cfg);
-  cfg.dist = kSymmetricCfg;
+  cfg.fault_plan = idle_plan();
   const auto sym = core::assemble_reads(d.data.reads, cfg);
   EXPECT_EQ(sym.contigs, master.contigs);
   EXPECT_EQ(sym.paths, master.paths);
   expect_same_stats(sym.simplify_stats, master.simplify_stats, "assembler");
+  expect_same_graph(sym.assembly_graph, master.assembly_graph, "assembler");
 }
 
 // ---------------------------------------------------------------------------
@@ -332,14 +284,15 @@ TEST(DistProtocol, AssemblerConfigSelectsProtocol) {
 
 TEST(DistProtocolHeavy, GridDatasetsRanksByteIdentical) {
   // Datasets D1–D3 through the whole pipeline: at every rank count the
-  // master run is the oracle and the symmetric protocol must reproduce its
-  // simplified graph, contigs, paths and counters. The oracle runs per rank
-  // count because the master protocol's own path order follows its gather
-  // order (partitions striped p % ranks) — equivalence is per sweep point.
+  // fault-free run is the oracle and the recovery driver under an idle plan
+  // must reproduce its simplified graph, contigs, paths and counters. The
+  // oracle runs per rank count because the master protocol's own path order
+  // follows its gather order (partitions striped p % ranks) — equivalence is
+  // per sweep point.
   for (const int ds : {1, 2, 3}) {
     const sim::Dataset d =
         sim::make_dataset(ds, /*scale=*/0.25, /*coverage=*/6.0);
-    core::FocusConfig cfg;
+    core::FocusConfig cfg{EnvSnapshot{}};
     cfg.overlap.k = 14;
     cfg.overlap.min_kmer_hits = 3;
     cfg.overlap.min_overlap = 50;
@@ -347,9 +300,9 @@ TEST(DistProtocolHeavy, GridDatasetsRanksByteIdentical) {
     cfg.partitions = 8;
     for (const int nranks : {1, 2, 4, 8}) {
       cfg.ranks = nranks;
-      cfg.dist = kMasterCfg;
+      cfg.fault_plan = {};
       const auto master = core::assemble_reads(d.data.reads, cfg);
-      cfg.dist = kSymmetricCfg;
+      cfg.fault_plan = idle_plan();
       const auto sym = core::assemble_reads(d.data.reads, cfg);
       const std::string context =
           "dataset " + std::to_string(ds) + " ranks " + std::to_string(nranks);

@@ -562,37 +562,16 @@ INSTANTIATE_TEST_SUITE_P(RankCounts, DistParallel,
 
 TEST(DistParallelTiming, MorePartitionsAndRanksReduceTrimMakespan) {
   // Fig. 6's shape in miniature: distributing trimming over more partitions
-  // and ranks reduces virtual-time makespan. The master protocol is pinned —
-  // this is the paper's §V master/worker cost shape; the symmetric default
-  // pays WAL replication and is measured separately below.
-  const DistConfig master{DistProtocol::kMaster};
+  // and ranks reduces virtual-time makespan — the paper's §V master/worker
+  // cost shape.
   AsmGraph g1 = make_complex_graph(400);
   AsmGraph g8 = make_complex_graph(400);
   SimplifyConfig cfg;
-  const auto t1 = simplify_parallel(g1, striped_partition(g1, 1), 1, cfg, 1,
-                                    {}, 1, {}, {}, master)
-                      .run.makespan;
-  const auto t8 = simplify_parallel(g8, striped_partition(g8, 8), 8, cfg, 8,
-                                    {}, 1, {}, {}, master)
-                      .run.makespan;
+  const auto t1 =
+      simplify_parallel(g1, striped_partition(g1, 1), 1, cfg, 1).run.makespan;
+  const auto t8 =
+      simplify_parallel(g8, striped_partition(g8, 8), 8, cfg, 8).run.makespan;
   EXPECT_GT(t1 / t8, 2.0);
-}
-
-TEST(DistParallelTiming, SymmetricProtocolStillScalesDespiteWalCharge) {
-  // The symmetric (default) protocol replicates every phase commit to the
-  // WAL, so its 8-rank speedup is below master's — but distribution must
-  // still win by a clear margin.
-  const DistConfig sym{DistProtocol::kSymmetric};
-  AsmGraph g1 = make_complex_graph(400);
-  AsmGraph g8 = make_complex_graph(400);
-  SimplifyConfig cfg;
-  const auto t1 = simplify_parallel(g1, striped_partition(g1, 1), 1, cfg, 1,
-                                    {}, 1, {}, {}, sym)
-                      .run.makespan;
-  const auto t8 = simplify_parallel(g8, striped_partition(g8, 8), 8, cfg, 8,
-                                    {}, 1, {}, {}, sym)
-                      .run.makespan;
-  EXPECT_GT(t1 / t8, 1.5);
 }
 
 }  // namespace

@@ -2,10 +2,9 @@
 // preprocess, distributed-index overlap, coarsen, hybrid, partition,
 // simplify, traverse — run under crash sweeps and mixed-fault storms
 // (crashes, drops, duplicates, corruption, delays), across both graph-store
-// backends. Every faulted stage runs the one recovery driver whatever the
-// wire-protocol setting. Every run must recover the byte-identical
-// fault-free assembly, and same-seed runs must produce bit-identical
-// RunStats under either setting. The heavier sweep lives in bench/bench_fault_soak
+// backends. Every faulted stage runs the one recovery driver. Every run must
+// recover the byte-identical fault-free assembly, and same-seed runs must
+// produce bit-identical RunStats. The heavier sweep lives in bench/bench_fault_soak
 // (BENCH_fault_soak.json); this suite is the CI-sized core of it.
 #include <gtest/gtest.h>
 
@@ -26,8 +25,7 @@ const sim::Dataset& soak_dataset() {
   return d;
 }
 
-FocusConfig soak_config(dist::DistProtocol protocol,
-                        graph::GraphStoreBackend backend) {
+FocusConfig soak_config(graph::GraphStoreBackend backend) {
   FocusConfig cfg;
   cfg.overlap.strategy = align::SeedStrategy::kDistributedIndex;
   cfg.overlap.k = 14;
@@ -44,19 +42,17 @@ FocusConfig soak_config(dist::DistProtocol protocol,
   cfg.fault_plan = mpr::FaultPlan{};
   cfg.fault = mpr::FaultConfig{};
   cfg.fault.max_retries = 32;
-  cfg.dist.protocol = protocol;
   cfg.graph_store = graph::GraphStoreConfig{};
   cfg.graph_store.backend = backend;
   return cfg;
 }
 
-/// The fault-free oracle. Protocols and backends are output-equivalent, so
+/// The fault-free oracle. Drivers and backends are output-equivalent, so
 /// one oracle serves every configuration under test.
 const AssemblyResult& oracle() {
   static const AssemblyResult result = assemble_reads(
       soak_dataset().data.reads,
-      soak_config(dist::DistProtocol::kMaster,
-                  graph::GraphStoreBackend::kInMemory));
+      soak_config(graph::GraphStoreBackend::kInMemory));
   return result;
 }
 
@@ -115,7 +111,7 @@ TEST(FaultSoak, FiftySeedStormsRecoverByteIdenticalAssembly) {
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     const auto backend = (seed % 4 < 2) ? graph::GraphStoreBackend::kInMemory
                                         : graph::GraphStoreBackend::kCsrSpill;
-    FocusConfig cfg = soak_config(dist::DistProtocol::kSymmetric, backend);
+    FocusConfig cfg = soak_config(backend);
     cfg.fault_plan = storm_plan(seed);
     const auto got = assemble_reads(soak_dataset().data.reads, cfg);
     expect_same_assembly(
@@ -128,54 +124,37 @@ TEST(FaultSoak, FiftySeedStormsRecoverByteIdenticalAssembly) {
 
 // Crash one rank at a sweep of op positions — the pipeline runs many
 // Runtime::execute sessions, so early ops hit preprocess and overlap while
-// later ones land in partition/simplify/traverse. Rank 0 is crashed under
-// both settings: a fault plan runs the rotating coordinator either way.
+// later ones land in partition/simplify/traverse. Crashing rank 0 forces
+// the rotating coordinator to hand over.
 TEST(FaultSoak, CrashSweepThroughPipelineRecovers) {
-  for (const auto protocol :
-       {dist::DistProtocol::kMaster, dist::DistProtocol::kSymmetric}) {
-    for (Rank victim = 0; victim < 3; ++victim) {
-      for (std::uint64_t op = 1; op <= 8; op += 1) {
-        FocusConfig cfg =
-            soak_config(protocol, graph::GraphStoreBackend::kInMemory);
-        cfg.fault_plan.crashes.push_back({victim, op});
-        const auto got = assemble_reads(soak_dataset().data.reads, cfg);
-        expect_same_assembly(
-            got, std::string(protocol == dist::DistProtocol::kSymmetric
-                                 ? "symmetric"
-                                 : "master") +
-                     " rank " + std::to_string(victim) + " crashed at op " +
-                     std::to_string(op));
-      }
+  for (Rank victim = 0; victim < 3; ++victim) {
+    for (std::uint64_t op = 1; op <= 8; op += 1) {
+      FocusConfig cfg = soak_config(graph::GraphStoreBackend::kInMemory);
+      cfg.fault_plan.crashes.push_back({victim, op});
+      const auto got = assemble_reads(soak_dataset().data.reads, cfg);
+      expect_same_assembly(got, "rank " + std::to_string(victim) +
+                                    " crashed at op " + std::to_string(op));
     }
   }
 }
 
 // Same seed => bit-identical virtual-time accounting, down to the RunStats
-// of every recovered stage. The protocol setting only picks fault-free
-// bodies, so the master-setting run must equal the symmetric-setting runs.
+// of every recovered stage.
 TEST(FaultSoak, SameSeedStormIsBitIdentical) {
-  FocusConfig master =
-      soak_config(dist::DistProtocol::kMaster,
-                  graph::GraphStoreBackend::kInMemory);
-  master.fault_plan = storm_plan(7);
-  FocusConfig symmetric = master;
-  symmetric.dist.protocol = dist::DistProtocol::kSymmetric;
-  const auto a = assemble_reads(soak_dataset().data.reads, symmetric);
-  for (const FocusConfig* cfg : {&symmetric, &master}) {
-    const std::string ctx =
-        cfg == &master ? "master setting" : "symmetric setting";
-    const auto b = assemble_reads(soak_dataset().data.reads, *cfg);
-    ASSERT_EQ(a.contigs, b.contigs) << ctx;
-    expect_same_run(a.preprocess_run, b.preprocess_run, ctx + " preprocess");
-    expect_same_run(a.align_run, b.align_run, ctx + " align");
-    expect_same_run(a.partition_run, b.partition_run, ctx + " partition");
-    expect_same_run(a.simplify_run, b.simplify_run, ctx + " simplify");
-    expect_same_run(a.traverse_run, b.traverse_run, ctx + " traverse");
-    for (const auto& [stage, timing] : a.timings) {
-      const auto it = b.timings.find(stage);
-      ASSERT_NE(it, b.timings.end()) << ctx << " " << stage;
-      EXPECT_EQ(timing.vtime, it->second.vtime) << ctx << " " << stage;
-    }
+  FocusConfig cfg = soak_config(graph::GraphStoreBackend::kInMemory);
+  cfg.fault_plan = storm_plan(7);
+  const auto a = assemble_reads(soak_dataset().data.reads, cfg);
+  const auto b = assemble_reads(soak_dataset().data.reads, cfg);
+  ASSERT_EQ(a.contigs, b.contigs);
+  expect_same_run(a.preprocess_run, b.preprocess_run, "preprocess");
+  expect_same_run(a.align_run, b.align_run, "align");
+  expect_same_run(a.partition_run, b.partition_run, "partition");
+  expect_same_run(a.simplify_run, b.simplify_run, "simplify");
+  expect_same_run(a.traverse_run, b.traverse_run, "traverse");
+  for (const auto& [stage, timing] : a.timings) {
+    const auto it = b.timings.find(stage);
+    ASSERT_NE(it, b.timings.end()) << stage;
+    EXPECT_EQ(timing.vtime, it->second.vtime) << stage;
   }
 }
 
@@ -183,8 +162,7 @@ TEST(FaultSoak, SameSeedStormIsBitIdentical) {
 // retried from the intact payload) composes with a message-fault storm: both
 // recovery paths fire in one run and the assembly is still byte-identical.
 TEST(FaultSoak, DiskWriteFaultComposesWithMessageStorm) {
-  FocusConfig cfg = soak_config(dist::DistProtocol::kSymmetric,
-                                graph::GraphStoreBackend::kCsrSpill);
+  FocusConfig cfg = soak_config(graph::GraphStoreBackend::kCsrSpill);
   cfg.fault_plan = storm_plan(11);
   cfg.graph_store.write_fault_nth = 2;
   const auto got = assemble_reads(soak_dataset().data.reads, cfg);

@@ -1,7 +1,8 @@
 // Fault sweep over the spill manager (DESIGN.md §8, ctest label: fault):
 // a crash at every slice-write position must retry cleanly and reproduce the
 // fault-free assembly; corrupt or truncated slice files must raise typed
-// focus errors naming the file; and a rank-crash replay on the spill backend
+// focus errors naming the file; two forked processes must get distinct
+// spill directories; and a rank-crash replay on the spill backend
 // must reproduce the fault-free in-memory assembly exactly.
 #include <gtest/gtest.h>
 
@@ -10,6 +11,9 @@
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -209,6 +213,70 @@ TEST(GraphStoreFault, TruncatedSliceRaisesTypedError) {
   EXPECT_THROW(store.contig(victim), Error);
 }
 
+TEST(GraphStoreFault, ForkedProcessesGetDistinctSpillDirectories) {
+  // Forking before either manager exists gives parent and child the same
+  // directory counter, and a manager built at the same point of this frame
+  // has the same address in both. Each process must still get its own spill
+  // directory under the shared spill_dir. The child reports its directory
+  // over a pipe and keeps it until the parent has built, written and read
+  // back its own slice.
+  const auto shared = std::filesystem::temp_directory_path() /
+                      ("focus-spill-fork-" + std::to_string(::getpid()));
+  std::filesystem::create_directories(shared);
+  GraphStoreConfig config;
+  config.backend = GraphStoreBackend::kCsrSpill;
+  config.spill_dir = shared.string();
+  const std::vector<std::uint8_t> payload{1, 2, 3, 4, 5, 6, 7, 8};
+  int up[2];    // child -> parent: the child's directory
+  int down[2];  // parent -> child: closed to release the child
+  ASSERT_EQ(::pipe(up), 0);
+  ASSERT_EQ(::pipe(down), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  const bool is_child = child == 0;
+  ::close(is_child ? up[0] : up[1]);
+  ::close(is_child ? down[1] : down[0]);
+
+  std::string child_dir;
+  if (!is_child) {
+    char buf[4096];
+    for (ssize_t n; (n = ::read(up[0], buf, sizeof buf)) > 0;) {
+      child_dir.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(up[0]);
+  }
+  std::string own_dir;
+  bool round_trip = false;
+  try {
+    graph::SpillManager manager(config);
+    own_dir = manager.slice_path(0).parent_path().string();
+    manager.insert(0, payload);
+    manager.evict_all();
+    round_trip = std::filesystem::exists(manager.slice_path(0)) &&
+                 *manager.fetch(0) == payload;
+    if (is_child) {
+      round_trip &= ::write(up[1], own_dir.data(), own_dir.size()) ==
+                    static_cast<ssize_t>(own_dir.size());
+      ::close(up[1]);
+      char release = 0;
+      (void)::read(down[0], &release, 1);
+    }
+  } catch (const Error&) {
+    round_trip = false;
+  }
+  if (is_child) ::_exit(round_trip ? 0 : 1);
+
+  ::close(down[1]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  std::filesystem::remove_all(shared);
+  EXPECT_TRUE(round_trip);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "the child's slice did not round-trip";
+  EXPECT_FALSE(child_dir.empty());
+  EXPECT_NE(own_dir, child_dir);
+}
+
 // ---------------------------------------------------------------------------
 // Rank-crash replay on the spill backend
 // ---------------------------------------------------------------------------
@@ -241,16 +309,13 @@ DriverOutcome run_store_drivers(int nranks, const mpr::FaultPlan& plan) {
   return out;
 }
 
-DriverOutcome run_memory_drivers(int nranks, dist::DistProtocol protocol) {
+DriverOutcome run_memory_drivers(int nranks) {
   AsmGraph g = make_complex_graph(81);
   const PartId parts = 6;
   const auto part = striped_partition(g.node_count(), parts);
-  const dist::DistConfig dist_cfg{protocol};
   dist::SimplifyConfig cfg;
   DriverOutcome out;
-  out.stats = dist::simplify_parallel(g, part, parts, cfg, nranks, {}, 1, {},
-                                      {}, dist_cfg)
-                  .stats;
+  out.stats = dist::simplify_parallel(g, part, parts, cfg, nranks).stats;
   out.paths = dist::traverse_parallel(g, part, parts, nranks).paths;
   out.graph = std::move(g);
   return out;
@@ -285,8 +350,7 @@ void expect_same_outcome(const DriverOutcome& got, const DriverOutcome& want,
 // and a serving rank at every early op.
 TEST(GraphStoreFault, CrashReplayOnSpillBackendMatchesInMemoryFaultFree) {
   const int nranks = 3;
-  const DriverOutcome want =
-      run_memory_drivers(nranks, dist::DistProtocol::kMaster);
+  const DriverOutcome want = run_memory_drivers(nranks);
   for (Rank victim = 0; victim < 2; ++victim) {
     for (std::uint64_t op = 1; op <= 6; ++op) {
       mpr::FaultPlan plan;

@@ -1,7 +1,7 @@
 // Tests for the out-of-core graph backbone (DESIGN.md §8): GraphStoreConfig
 // env parsing, SpillManager residency/LRU behaviour, HierarchySpill
 // round-trips, StoredAsmGraph equivalence with AsmGraph on the serial and
-// parallel kernels (both wire protocols, forced-spill budgets), and the
+// parallel kernels (both drivers, forced-spill budgets), and the
 // assembler façade producing byte-identical assemblies on either backend.
 //
 // Heavy grid variants (full pipeline on the simulated datasets D1–D3 with a
@@ -10,7 +10,9 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -35,8 +37,14 @@ using graph::GraphStoreBackend;
 using graph::GraphStoreConfig;
 using graph::SpillManager;
 
-const dist::DistConfig kMasterCfg{dist::DistProtocol::kMaster};
-const dist::DistConfig kSymmetricCfg{dist::DistProtocol::kSymmetric};
+/// The two drivers of every distributed stage: an empty plan runs the
+/// master gather; a crash point past every op injects nothing but runs the
+/// recovery protocol.
+std::vector<std::pair<const char*, mpr::FaultPlan>> driver_plans() {
+  mpr::FaultPlan idle;
+  idle.crashes.push_back({0, std::numeric_limits<std::uint64_t>::max()});
+  return {{"master", {}}, {"recovery", idle}};
+}
 
 /// A budget small enough that every multi-partition fixture in this file
 /// must evict and reload slices.
@@ -132,7 +140,7 @@ void expect_same_stats(const dist::SimplifyStats& got,
   EXPECT_EQ(got.bubble_nodes, want.bubble_nodes) << context;
 }
 
-// RAII env save/restore (same idiom as dist_protocol_test.cpp).
+// RAII env save/restore.
 class ScopedEnv {
  public:
   explicit ScopedEnv(const char* name) : name_(name) {
@@ -416,11 +424,9 @@ class StoredGraphRankSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(StoredGraphRankSweep, ParallelKernelsMatchInMemoryBackend) {
   const int nranks = GetParam();
-  for (const auto* proto : {&kMasterCfg, &kSymmetricCfg}) {
+  for (const auto& [driver, plan] : driver_plans()) {
     const std::string context =
-        "ranks " + std::to_string(nranks) + " protocol " +
-        (proto->protocol == dist::DistProtocol::kMaster ? "master"
-                                                        : "symmetric");
+        "ranks " + std::to_string(nranks) + " driver " + driver;
     const PartId parts = 8;
     AsmGraph g = make_complex_graph(21);
     const auto part = striped_partition(g.node_count(), parts);
@@ -428,11 +434,9 @@ TEST_P(StoredGraphRankSweep, ParallelKernelsMatchInMemoryBackend) {
         StoredAsmGraph::from_asm_graph(g, part, parts, tiny_budget_config());
     dist::SimplifyConfig cfg;
     const auto want =
-        dist::simplify_parallel(g, part, parts, cfg, nranks, {}, 1, {}, {},
-                                *proto);
+        dist::simplify_parallel(g, part, parts, cfg, nranks, {}, 1, plan);
     const auto got =
-        dist::simplify_parallel(store, part, parts, cfg, nranks, {}, 1, {},
-                                {}, *proto);
+        dist::simplify_parallel(store, part, parts, cfg, nranks, {}, 1, plan);
     expect_same_stats(got.stats, want.stats, context);
     expect_store_matches(store, g, context);
     // Equal inputs must also cost equal virtual time on either backend.
@@ -532,7 +536,7 @@ TEST(GraphStoreAssembler, EnvSelectsBackend) {
 }
 
 // Heavy grid (perf-smoke label): datasets D1–D3 through the whole pipeline,
-// both protocols, spill-forcing budget, at every rank count — the in-memory
+// both drivers, spill-forcing budget, at every rank count — the in-memory
 // backend is the oracle at each sweep point.
 TEST(GraphStoreHeavy, GridDatasetsRanksProtocolsByteIdentical) {
   for (const int ds : {1, 2, 3}) {
@@ -542,8 +546,8 @@ TEST(GraphStoreHeavy, GridDatasetsRanksProtocolsByteIdentical) {
     cfg.partitions = 8;
     for (const int nranks : {1, 2, 4, 8}) {
       cfg.ranks = nranks;
-      for (const auto* proto : {&kMasterCfg, &kSymmetricCfg}) {
-        cfg.dist = *proto;
+      for (const auto& [driver, plan] : driver_plans()) {
+        cfg.fault_plan = plan;
         cfg.graph_store = GraphStoreConfig{};
         const auto want = core::assemble_reads(d.data.reads, cfg);
         cfg.graph_store.backend = GraphStoreBackend::kCsrSpill;
@@ -551,9 +555,7 @@ TEST(GraphStoreHeavy, GridDatasetsRanksProtocolsByteIdentical) {
         const auto got = core::assemble_reads(d.data.reads, cfg);
         const std::string context =
             "dataset " + std::to_string(ds) + " ranks " +
-            std::to_string(nranks) + " protocol " +
-            (proto->protocol == dist::DistProtocol::kMaster ? "master"
-                                                            : "symmetric");
+            std::to_string(nranks) + " driver " + driver;
         expect_same_assembly(got, want, context);
       }
     }

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -377,17 +378,13 @@ struct DriverOutcome {
   mpr::RunStats traverse_run;
 };
 
-// The master protocol is pinned explicitly (not via environment) so the
-// seed goldens below stay stable under FOCUS_DIST_PROTOCOL.
 DriverOutcome run_drivers(int nranks, const mpr::FaultPlan& plan = {},
-                          const mpr::FaultConfig& fault = {},
-                          const dist::DistConfig& dcfg = {
-                              dist::DistProtocol::kMaster}) {
+                          const mpr::FaultConfig& fault = {}) {
   AsmGraph g = make_fault_graph(100);
   const auto part = striped_partition(g, kParts);
   DriverOutcome out;
   auto s = dist::simplify_parallel(g, part, kParts, SimplifyConfig{}, nranks,
-                                   {}, 1, plan, fault, dcfg);
+                                   {}, 1, plan, fault);
   out.stats = s.stats;
   out.simplify_run = s.run;
   auto t = dist::traverse_parallel(g, part, kParts, nranks, {}, 1, plan, fault);
@@ -438,9 +435,6 @@ TEST(DistFault, EmptyPlanIsByteIdenticalToSeedGoldens) {
   }
 }
 
-const dist::DistConfig kSymCfg{dist::DistProtocol::kSymmetric};
-
-// Under a fault plan the master setting runs the one recovery driver too.
 // Crash each serving rank of a 4-rank run at every op position it can
 // reach; the recovered assembly must be exactly the fault-free master one,
 // and the failure must be reported in the stats.
@@ -468,9 +462,7 @@ TEST(DistFault, CrashAtEveryWorkerOpRecoversExactAssembly) {
   }
 }
 
-// The protocol setting only picks fault-free bodies: under the same storm,
-// the master and symmetric settings run the same recovery driver and give
-// bit-identical RunStats, and a repeated run reproduces them.
+// A repeated run under the same storm reproduces the RunStats bit for bit.
 TEST(DistFault, SameSeedGivesBitIdenticalRunStats) {
   mpr::FaultPlan plan;
   plan.seed = 99;
@@ -481,33 +473,33 @@ TEST(DistFault, SameSeedGivesBitIdenticalRunStats) {
   mpr::FaultConfig fault;
   fault.max_retries = 32;
   const auto a = run_drivers(4, plan, fault);
-  const auto b = run_drivers(4, plan, fault, kSymCfg);
-  const auto c = run_drivers(4, plan, fault);
-  for (const auto* other : {&b, &c}) {
-    EXPECT_EQ(a.simplify_run.makespan, other->simplify_run.makespan);
-    EXPECT_EQ(a.simplify_run.rank_vtime, other->simplify_run.rank_vtime);
-    EXPECT_EQ(a.simplify_run.messages, other->simplify_run.messages);
-    EXPECT_EQ(a.simplify_run.bytes, other->simplify_run.bytes);
-    EXPECT_EQ(a.simplify_run.retries, other->simplify_run.retries);
-    EXPECT_EQ(a.simplify_run.ranks_failed, other->simplify_run.ranks_failed);
-    EXPECT_EQ(a.simplify_run.recovery_vtime,
-              other->simplify_run.recovery_vtime);
-    EXPECT_EQ(a.traverse_run.makespan, other->traverse_run.makespan);
-    EXPECT_EQ(a.traverse_run.rank_vtime, other->traverse_run.rank_vtime);
-    EXPECT_EQ(a.traverse_run.messages, other->traverse_run.messages);
-    EXPECT_EQ(a.traverse_run.bytes, other->traverse_run.bytes);
-    EXPECT_EQ(a.traverse_run.retries, other->traverse_run.retries);
-    EXPECT_EQ(a.traverse_run.ranks_failed, other->traverse_run.ranks_failed);
-    expect_same_assembly(*other, a, "same seed");
-  }
+  const auto b = run_drivers(4, plan, fault);
+  EXPECT_EQ(a.simplify_run.makespan, b.simplify_run.makespan);
+  EXPECT_EQ(a.simplify_run.rank_vtime, b.simplify_run.rank_vtime);
+  EXPECT_EQ(a.simplify_run.messages, b.simplify_run.messages);
+  EXPECT_EQ(a.simplify_run.bytes, b.simplify_run.bytes);
+  EXPECT_EQ(a.simplify_run.retries, b.simplify_run.retries);
+  EXPECT_EQ(a.simplify_run.ranks_failed, b.simplify_run.ranks_failed);
+  EXPECT_EQ(a.simplify_run.recovery_vtime, b.simplify_run.recovery_vtime);
+  EXPECT_EQ(a.traverse_run.makespan, b.traverse_run.makespan);
+  EXPECT_EQ(a.traverse_run.rank_vtime, b.traverse_run.rank_vtime);
+  EXPECT_EQ(a.traverse_run.messages, b.traverse_run.messages);
+  EXPECT_EQ(a.traverse_run.bytes, b.traverse_run.bytes);
+  EXPECT_EQ(a.traverse_run.retries, b.traverse_run.retries);
+  EXPECT_EQ(a.traverse_run.ranks_failed, b.traverse_run.ranks_failed);
+  expect_same_assembly(b, a, "same seed");
 }
 
 // --- Rotating-coordinator recovery (DESIGN.md §7b) --------------------------
 
+// A crash point past every op injects nothing, but the non-empty plan runs
+// the recovery driver, which must reproduce the master protocol's run.
 TEST(DistFaultSymmetric, FaultFreeMatchesMasterProtocol) {
+  mpr::FaultPlan idle;
+  idle.crashes.push_back({0, std::numeric_limits<std::uint64_t>::max()});
   for (const int nranks : {1, 2, 3, 4}) {
     const auto want = run_drivers(nranks);
-    const auto got = run_drivers(nranks, {}, {}, kSymCfg);
+    const auto got = run_drivers(nranks, idle);
     expect_same_assembly(got, want, "ranks " + std::to_string(nranks));
     EXPECT_EQ(got.simplify_run.retries, 0u);
     EXPECT_EQ(got.simplify_run.ranks_failed, 0);
@@ -526,7 +518,7 @@ TEST(DistFaultSymmetric, CrashAtEveryOpOnEveryRankRecoversExactAssembly) {
     for (std::uint64_t op = 1; op <= 10; ++op) {
       mpr::FaultPlan plan;
       plan.crashes.push_back({victim, op});
-      const auto got = run_drivers(nranks, plan, {}, kSymCfg);
+      const auto got = run_drivers(nranks, plan);
       const std::string context = "rank " + std::to_string(victim) +
                                   " crashed at op " + std::to_string(op);
       expect_same_assembly(got, want, context);
@@ -543,13 +535,16 @@ TEST(DistFaultSymmetric, SingleRankToleratesPlanWithoutPeers) {
   mpr::FaultPlan plan;
   plan.crashes.push_back({1, 1});
   const auto want = run_drivers(1);
-  const auto got = run_drivers(1, plan, {}, kSymCfg);
+  const auto got = run_drivers(1, plan);
   expect_same_assembly(got, want, "single-rank symmetric");
   EXPECT_EQ(got.simplify_run.ranks_failed, 0);
 }
 
+// The same storm plus a coordinator crash: the rotation to a successor is
+// as deterministic as the rest of the recovery.
 TEST(DistFaultSymmetric, SameSeedGivesBitIdenticalRunStats) {
   mpr::FaultPlan plan;
+  plan.crashes.push_back({0, 5});
   plan.seed = 99;
   plan.p_drop = 0.10;
   plan.p_duplicate = 0.05;
@@ -557,8 +552,8 @@ TEST(DistFaultSymmetric, SameSeedGivesBitIdenticalRunStats) {
   plan.p_delay = 0.10;
   mpr::FaultConfig fault;
   fault.max_retries = 32;
-  const auto a = run_drivers(4, plan, fault, kSymCfg);
-  const auto b = run_drivers(4, plan, fault, kSymCfg);
+  const auto a = run_drivers(4, plan, fault);
+  const auto b = run_drivers(4, plan, fault);
   EXPECT_EQ(a.simplify_run.makespan, b.simplify_run.makespan);
   EXPECT_EQ(a.simplify_run.rank_vtime, b.simplify_run.rank_vtime);
   EXPECT_EQ(a.simplify_run.messages, b.simplify_run.messages);
@@ -587,7 +582,7 @@ TEST(DistFaultSymmetric, StressRandomMessageFaultsAlwaysRecover) {
     plan.p_duplicate = 0.05;
     plan.p_corrupt = 0.05;
     plan.p_delay = 0.05;
-    const auto got = run_drivers(nranks, plan, fault, kSymCfg);
+    const auto got = run_drivers(nranks, plan, fault);
     expect_same_assembly(got, want,
                          "symmetric trial " + std::to_string(trial));
   }
@@ -599,7 +594,7 @@ TEST(DistFaultSymmetric, RetriesExhaustedThrows) {
   plan.p_drop = 1.0;
   mpr::FaultConfig fault;
   fault.max_retries = 0;
-  EXPECT_THROW(run_drivers(3, plan, fault, kSymCfg), Error);
+  EXPECT_THROW(run_drivers(3, plan, fault), Error);
 }
 
 // --- Fault-tolerant distributed-index overlap driver ------------------------

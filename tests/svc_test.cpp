@@ -66,23 +66,19 @@ TEST(EnvSnapshot, StrictParsersRejectMalformedValues) {
 
 TEST(FocusConfig, DefaultCtorFollowsEnvPinnedCtorDoesNot) {
   ASSERT_EQ(setenv("FOCUS_SEED_STRATEGY", "distributed", 1), 0);
-  ASSERT_EQ(setenv("FOCUS_DIST_PROTOCOL", "master", 1), 0);
   ASSERT_EQ(setenv("FOCUS_GRAPH_BACKEND", "csr-spill", 1), 0);
 
   const core::FocusConfig live;  // captures the live environment once
   EXPECT_EQ(live.overlap.strategy, align::SeedStrategy::kDistributedIndex);
-  EXPECT_EQ(live.dist.protocol, dist::DistProtocol::kMaster);
   EXPECT_EQ(live.graph_store.backend, graph::GraphStoreBackend::kCsrSpill);
 
   // An empty snapshot pins every env-defaulted knob to its documented
   // default, regardless of the live environment.
   const core::FocusConfig pinned{EnvSnapshot{}};
   EXPECT_EQ(pinned.overlap.strategy, align::SeedStrategy::kAllPairs);
-  EXPECT_EQ(pinned.dist.protocol, dist::DistProtocol::kSymmetric);
   EXPECT_EQ(pinned.graph_store.backend, graph::GraphStoreBackend::kInMemory);
 
   ASSERT_EQ(unsetenv("FOCUS_SEED_STRATEGY"), 0);
-  ASSERT_EQ(unsetenv("FOCUS_DIST_PROTOCOL"), 0);
   ASSERT_EQ(unsetenv("FOCUS_GRAPH_BACKEND"), 0);
 }
 
@@ -345,33 +341,6 @@ TEST(StageCache, KeysChainThroughTheStages) {
   EXPECT_FALSE(envelope.cache_hits.preprocess);
   EXPECT_FALSE(envelope.cache_hits.overlaps);
   EXPECT_FALSE(envelope.cache_hits.coarsen);
-
-  // The wire protocol is not part of any key: preprocess, overlap and
-  // coarsen run the same code under either setting, so a flipped protocol
-  // hits all three artifacts and the cached RunStats equal a fresh run's.
-  core::FocusConfig flipped = cfg;
-  flipped.dist.protocol = cfg.dist.protocol == dist::DistProtocol::kMaster
-                              ? dist::DistProtocol::kSymmetric
-                              : dist::DistProtocol::kMaster;
-  const auto hit = core::FocusAssembler(flipped)
-                       .assemble(tiny_dataset().data.reads, &cache);
-  EXPECT_TRUE(hit.cache_hits.preprocess);
-  EXPECT_TRUE(hit.cache_hits.overlaps);
-  EXPECT_TRUE(hit.cache_hits.coarsen);
-  const auto fresh =
-      core::FocusAssembler(flipped).assemble(tiny_dataset().data.reads);
-  for (const auto& [got, want] :
-       {std::pair{&hit.preprocess_run, &fresh.preprocess_run},
-        std::pair{&hit.align_run, &fresh.align_run}}) {
-    EXPECT_EQ(got->makespan, want->makespan);
-    EXPECT_EQ(got->rank_vtime, want->rank_vtime);
-    EXPECT_EQ(got->messages, want->messages);
-    EXPECT_EQ(got->bytes, want->bytes);
-    EXPECT_EQ(got->retries, want->retries);
-    EXPECT_EQ(got->ranks_failed, want->ranks_failed);
-    EXPECT_EQ(got->recovery_vtime, want->recovery_vtime);
-  }
-  expect_identical_assembly(hit, fresh);
 }
 
 TEST(JobScheduler, RepeatSubmissionServedFromCache) {

@@ -1,42 +1,44 @@
 #!/usr/bin/env bash
 # Runs the tier-1 ctest suite under ThreadSanitizer and combined
-# AddressSanitizer+UndefinedBehaviorSanitizer — so the seed-backend
-# equivalence suite (hashed k-mer index vs suffix-array oracle, packed-read
-# bit manipulation, two-pass NW scratch reuse), the partitioner determinism
-# suite (fork_join recursion, pooled KL/k-way scoring, concurrent
-# multi-trial initial bisections, the chunked KL pair search, byte-identical
-# partitions across thread widths), the distributed-index overlap suite
-# (sharded k-mer index alltoall rounds across rank counts, per-subset repeat
-# masking, the FT overlap driver's block replay), the protocol-equivalence
-# suite (master vs symmetric owner-computes simplify, and the shared-WAL
-# rotating coordinator's traverse join against the master's, across rank
-# counts), the
-# graph-store equivalence suite (in-memory AsmGraph vs CSR-spill
-# StoredAsmGraph byte-identity across threads × ranks × protocols
-# under forced-spill budgets, the SpillManager's concurrent LRU fetch/evict
-# paths, plus graph_store_fault_test's crash-at-every-op spill-write sweep
-# and bench_graph_store's forked RSS smoke under label `perf-smoke`), the
-# fault-injection suite (label `fault`: crash-at-every-op recovery sweeps
-# over every FT driver — preprocess, distributed-index overlap, partition,
-# simplify, traverse, variants, GFA, including coordinator rotation — plus
-# mixed-fault stress of the runtime's timeout/CRC detection paths, the
-# FaultEnv malformed-knob tests, and CollectLoopFault's direct drive of the
-# one recovery protocol's collect loop: a recovery round re-scans only lost
-# partitions while the collector drains frames that peers are still
-# sending), and the whole-pipeline chaos soak (label `soak`: 50-seed storms
-# and crash sweeps through the full assembler across protocol settings and
-# graph-store backends, with the spill manager's nth-write disk fault armed), the job-runtime suite (svc_test:
-# EnvSnapshot capture/strict parsing, ArtifactCache LRU policy under
-# concurrent lanes, JobScheduler admission + virtual-time fair share), the
-# concurrent-assembler determinism suite (concurrent_jobs_test: two
-# simultaneous in-process pipelines vs the serial oracle across protocols ×
-# backends × pool widths — the TSan proof obligation for the EnvSnapshot
-# sweep and the per-pool TLS slot fix), and bench_jobs's multi-tenant
-# scheduler smoke (label `perf-smoke`), and the hybrid-selection suites
-# (hybrid_test's Contiguity scratch-reuse case across two read graphs and
-# threads_test's HybridWidths sweep, label `perf-smoke`: level-by-level
-# contiguity tests on the pool with per-chunk scratch checkout, identical at
-# widths 1/2/4/8) are exercised under both memory/UB and data-race checking.
+# AddressSanitizer+UndefinedBehaviorSanitizer, so every suite is exercised
+# under both memory/UB and data-race checking. Among them:
+#  - seed-backend equivalence (hashed k-mer index vs the suffix-array
+#    oracle, packed-read bit manipulation, two-pass NW scratch reuse);
+#  - partitioner determinism (fork_join recursion, pooled KL/k-way scoring,
+#    concurrent multi-trial bisections, the chunked KL pair search,
+#    identical partitions across thread widths);
+#  - distributed-index overlap (sharded k-mer alltoall rounds across rank
+#    counts, per-subset repeat masking, the FT overlap driver's block
+#    replay);
+#  - driver equivalence (dist_protocol_test: the fault-free master gather
+#    against the shared-WAL rotating coordinator under a plan that injects
+#    nothing — simplify graphs and stats, traverse paths — across rank
+#    counts);
+#  - graph-store equivalence (in-memory AsmGraph vs CSR-spill StoredAsmGraph
+#    across threads x ranks x drivers under forced-spill budgets, the
+#    SpillManager's concurrent LRU fetch/evict paths, graph_store_fault_test's
+#    crash-at-every-op spill-write sweep);
+#  - fault injection (label `fault`: crash-at-every-op recovery sweeps over
+#    every FT driver including coordinator rotation, mixed-fault stress of
+#    the runtime's timeout/CRC detection, the FaultEnv malformed-knob tests,
+#    and CollectLoopFault's direct drive of the recovery collect loop);
+#  - the whole-pipeline chaos soak (label `soak`: 50-seed storms and crash
+#    sweeps through the full assembler across graph-store backends, with
+#    the spill manager's nth-write disk fault armed);
+#  - the job runtime (svc_test: EnvSnapshot capture and strict parsing,
+#    ArtifactCache LRU under concurrent lanes, JobScheduler admission and
+#    fair share) and concurrent-assembler determinism (concurrent_jobs_test:
+#    two simultaneous in-process pipelines vs the serial oracle across
+#    drivers x backends x pool widths);
+#  - the perf-smoke benches and hybrid-selection suites (level-by-level
+#    contiguity tests on the pool, identical at widths 1/2/4/8).
+#
+# The soak label and the *Heavy* tests each take minutes under a sanitizer;
+# run next to each other they pushed past the ctest timeout. So ctest runs
+# in two passes: everything else in parallel, then those tests one at a
+# time (-j1). Extra ctest arguments go to every pass; ctest keeps the last
+# -R it is given, so a -R among them replaces the Heavy selection of the
+# last pass.
 #
 # Review note: src/common/env.cpp must stay the only std::getenv call site
 # (grep 'std::getenv' src/); scattered env reads were the original
@@ -77,10 +79,17 @@ for san in "${sanitizers[@]}"; do
   cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DFOCUS_SANITIZE="$san"
   cmake --build "$dir" -j "$jobs"
-  if ! ctest --test-dir "$dir" --output-on-failure -j "$jobs" "$@"; then
-    echo "!!! ${san} sanitizer run FAILED" >&2
-    status=1
-  fi
+  for pass in parallel soak heavy; do
+    case "$pass" in
+      parallel) select=(-j "$jobs" -LE soak -E Heavy) ;;
+      soak)     select=(-j 1 -L soak) ;;
+      heavy)    select=(-j 1 -LE soak -R Heavy) ;;
+    esac
+    if ! ctest --test-dir "$dir" --output-on-failure "${select[@]}" "$@"; then
+      echo "!!! ${san} sanitizer ${pass} pass FAILED" >&2
+      status=1
+    fi
+  done
 done
 
 exit $status
